@@ -221,6 +221,10 @@ void Cluster::handle_rm_replica_message(std::uint32_t replica,
 
 void Cluster::preload(std::uint64_t count, std::uint64_t size_bytes,
                       kv::ObjectId first_oid) {
+  // The preloaded ids are the ones the workload will touch: memoize their
+  // placement so per-operation lookups skip the rendezvous hashing.
+  placement_.memoize(first_oid + count);
+  std::vector<std::uint32_t> replicas;
   for (std::uint64_t i = 0; i < count; ++i) {
     const kv::ObjectId oid = first_oid + i;
     kv::Version version;
@@ -228,7 +232,8 @@ void Cluster::preload(std::uint64_t count, std::uint64_t size_bytes,
     version.cfno = 0;
     version.value = oid;
     version.size_bytes = size_bytes;
-    for (std::uint32_t replica : placement_.replicas(oid)) {
+    placement_.replicas_into(oid, replicas);
+    for (std::uint32_t replica : replicas) {
       storage_[replica]->preload(oid, version);
     }
   }

@@ -26,8 +26,32 @@ std::vector<std::uint32_t> Placement::replicas(ObjectId oid) const {
   return out;
 }
 
+void Placement::memoize(ObjectId limit) {
+  limit = std::min(limit, kMaxMemoized);
+  if (limit <= memoized_) return;
+  const auto k = static_cast<std::size_t>(replication_);
+  memo_.reserve(static_cast<std::size_t>(limit) * k);
+  std::vector<std::uint32_t> row;
+  for (ObjectId oid = memoized_; oid < limit; ++oid) {
+    rendezvous_into(oid, row);
+    memo_.insert(memo_.end(), row.begin(), row.end());
+  }
+  memoized_ = limit;
+}
+
 void Placement::replicas_into(ObjectId oid,
                               std::vector<std::uint32_t>& out) const {
+  if (oid < memoized_) {
+    const auto k = static_cast<std::size_t>(replication_);
+    const auto first = memo_.begin() + static_cast<long>(oid * k);
+    out.assign(first, first + static_cast<long>(k));
+    return;
+  }
+  rendezvous_into(oid, out);
+}
+
+void Placement::rendezvous_into(ObjectId oid,
+                                std::vector<std::uint32_t>& out) const {
   weights_.clear();
   weights_.reserve(num_nodes_);
   for (std::uint32_t node = 0; node < num_nodes_; ++node) {

@@ -5,7 +5,11 @@
 // nodes)".
 //
 // Implemented with rendezvous (highest-random-weight) hashing, which is
-// deterministic, uniform, and needs no stored ring state.
+// deterministic, uniform, and needs no stored ring state. Objects the store
+// knows up front (Cluster::preload) get their replica lists memoized in a
+// flat table, so the per-operation lookup is a copy instead of N hashes and
+// a partial sort; ids outside the table take the rendezvous path, with the
+// same result.
 #pragma once
 
 #include <cstdint>
@@ -29,6 +33,10 @@ class Placement {
   /// allocation-free once the vector is warm.
   void replicas_into(ObjectId oid, std::vector<std::uint32_t>& out) const;
 
+  /// Memoizes the replica lists of ids [0, limit) (capped at
+  /// kMaxMemoized). Growing only: a smaller limit keeps the table.
+  void memoize(ObjectId limit);
+
   std::uint32_t num_storage_nodes() const noexcept { return num_nodes_; }
   int replication_degree() const noexcept { return replication_; }
 
@@ -38,6 +46,13 @@ class Placement {
     std::uint32_t node;
   };
 
+  /// Upper bound on memoized ids (the table holds replication-degree
+  /// entries per id: 20 MiB at degree 5).
+  static constexpr ObjectId kMaxMemoized = ObjectId{1} << 20;
+
+  /// The rendezvous computation proper (what the memo table caches).
+  void rendezvous_into(ObjectId oid, std::vector<std::uint32_t>& out) const;
+
   std::uint32_t num_nodes_;
   int replication_;
   std::uint64_t seed_;
@@ -45,6 +60,9 @@ class Placement {
   /// placement lookup does not allocate per operation. Placement is only
   /// ever used from the single-threaded simulation loop.
   mutable std::vector<Weighted> weights_;
+  /// Replica lists of ids [0, memoized_), replication_ entries per id.
+  std::vector<std::uint32_t> memo_;
+  ObjectId memoized_ = 0;
 };
 
 }  // namespace qopt::kv

@@ -192,7 +192,7 @@ class EngineProfiler {
  public:
   static constexpr std::size_t kMaxMessageTypes = 32;
   static constexpr std::uint64_t kTelemetryEvery = 32;  // queue histograms
-  static constexpr std::uint64_t kWallEvery = 64;       // wall-clock probe
+  static constexpr std::uint64_t kWallEvery = 256;      // wall-clock probe
 
   static constexpr bool compiled_on() noexcept {
     return QOPT_PROFILE_ENABLED != 0;

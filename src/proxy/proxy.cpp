@@ -109,9 +109,9 @@ void Proxy::crash() {
   net_.set_crashed(self_);
   // End in-flight traces so the span store's live set stays bounded; their
   // open spans are force-closed at the crash instant.
-  for (auto& [id, op] : ops_) {
+  ops_.for_each([&](PendingOp& op) {
     if (op.trace_ctx.valid()) obs_->spans().end_trace(op.trace_ctx, sim_.now());
-  }
+  });
   ops_.clear();
   // An unanswered NEWQ drain dies with the in-flight ops; the RM's
   // retransmitted NEWQ after restart is re-answered from scratch.
@@ -238,6 +238,79 @@ void Proxy::on_message(const sim::NodeId& from, const Message& msg) {
       msg);
 }
 
+// ------------------------------------------------------- in-flight table
+
+Proxy::PendingOp& Proxy::OpTable::insert(std::uint64_t id) {
+  const std::uint32_t slot = slab_.acquire();
+  PendingOp& op = slab_[slot];
+  // Reset to a fresh record but keep the per-op buffers' capacity.
+  PendingOp fresh;
+  fresh.drawn = std::move(op.drawn);
+  fresh.drawn.clear();
+  fresh.replica_order = std::move(op.replica_order);
+  fresh.replica_order.clear();
+  fresh.replied = std::move(op.replied);
+  fresh.replied.clear();
+  fresh.rpc_spans = std::move(op.rpc_spans);
+  fresh.rpc_spans.clear();
+  op = std::move(fresh);
+  index(id, slot);
+  return op;
+}
+
+void Proxy::OpTable::index(std::uint64_t id, std::uint32_t slot) {
+  if (span_ == 0) base_ = id;
+  assert(id >= base_ + span_ && "op ids must be issued in increasing order");
+  const std::uint64_t span = id - base_ + 1;
+  if (span > ring_.size()) grow(span);
+  for (std::uint64_t gap = base_ + span_; gap < id; ++gap) cell(gap) = kNone;
+  cell(id) = slot;
+  span_ = span;
+  ++live_;
+}
+
+void Proxy::OpTable::grow(std::uint64_t span) {
+  std::size_t size = ring_.empty() ? 64 : 2 * ring_.size();
+  while (size < span) size *= 2;
+  std::vector<std::uint32_t> ring(size, kNone);
+  for (std::uint64_t id = base_; id < base_ + span_; ++id) {
+    ring[id & (size - 1)] = cell(id);
+  }
+  ring_.swap(ring);
+}
+
+Proxy::PendingOp* Proxy::OpTable::find(std::uint64_t id) {
+  if (id < base_ || id >= base_ + span_) return nullptr;
+  const std::uint32_t slot = cell(id);
+  return slot == kNone ? nullptr : &slab_[slot];
+}
+
+std::uint32_t Proxy::OpTable::detach(std::uint64_t id) {
+  std::uint32_t& entry = cell(id);
+  const std::uint32_t slot = entry;
+  assert(id >= base_ && id < base_ + span_ && slot != kNone);
+  entry = kNone;
+  --live_;
+  // Slide the window past completed ids at its front.
+  while (span_ > 0 && cell(base_) == kNone) {
+    ++base_;
+    --span_;
+  }
+  return slot;
+}
+
+void Proxy::OpTable::rekey(std::uint64_t old_id, std::uint64_t new_id) {
+  index(new_id, detach(old_id));
+}
+
+void Proxy::OpTable::clear() {
+  for (std::uint64_t id = base_; id < base_ + span_; ++id) {
+    if (cell(id) != kNone) slab_.release(cell(id));
+  }
+  span_ = 0;
+  live_ = 0;
+}
+
 // --------------------------------------------------------- client entries
 
 void Proxy::handle_client_read(const sim::NodeId& from,
@@ -286,14 +359,13 @@ void Proxy::start_read(ObjectId oid, sim::NodeId client,
                        std::uint64_t client_req, Time start_time,
                        obs::SpanContext trace_ctx) {
   const std::uint64_t op_id = next_op_id_++;
-  PendingOp op;
+  PendingOp& op = ops_.insert(op_id);
   op.kind = PendingOp::Kind::kRead;
   op.oid = oid;
   op.client = client;
   op.client_req = client_req;
   op.start_time = start_time;
   op.trace_ctx = trace_ctx;
-  ops_.emplace(op_id, std::move(op));
   launch_op(op_id);
 }
 
@@ -301,7 +373,7 @@ void Proxy::start_write(ObjectId oid, Version version, sim::NodeId client,
                         std::uint64_t client_req, Time start_time,
                         PendingOp::Kind kind, obs::SpanContext trace_ctx) {
   const std::uint64_t op_id = next_op_id_++;
-  PendingOp op;
+  PendingOp& op = ops_.insert(op_id);
   op.kind = kind;
   op.oid = oid;
   op.client = client;
@@ -309,12 +381,11 @@ void Proxy::start_write(ObjectId oid, Version version, sim::NodeId client,
   op.write_version = version;
   op.start_time = start_time;
   op.trace_ctx = trace_ctx;
-  ops_.emplace(op_id, std::move(op));
   launch_op(op_id);
 }
 
 void Proxy::launch_op(std::uint64_t op_id) {
-  PendingOp& op = ops_.at(op_id);
+  PendingOp& op = *ops_.find(op_id);
   op.epno_used = lepno_;
   op.cfno_used = lcfno_;
   op.received = 0;
@@ -447,9 +518,9 @@ void Proxy::arm_fallback(std::uint64_t op_id) {
   sim_.after(options_.fallback_timeout, [this, op_id] {
     QOPT_PROFILE_SCOPE(obs_, obs::ProfSubsystem::kProxy);
     if (crashed_) return;
-    auto it = ops_.find(op_id);
-    if (it == ops_.end()) return;
-    PendingOp& op = it->second;
+    PendingOp* found = ops_.find(op_id);
+    if (found == nullptr) return;
+    PendingOp& op = *found;
     if (quorum_met(op)) return;
     if (op.contacted >= static_cast<int>(op.replica_order.size())) return;
     ins_.fallbacks->inc();
@@ -475,9 +546,9 @@ void Proxy::arm_retransmit(std::uint64_t op_id, int attempt) {
 }
 
 void Proxy::fire_retransmit(std::uint64_t op_id, int attempt) {
-  auto it = ops_.find(op_id);
-  if (it == ops_.end()) return;  // completed, failed, or NACK-retried
-  PendingOp& op = it->second;
+  PendingOp* found = ops_.find(op_id);
+  if (found == nullptr) return;  // completed, failed, or NACK-retried
+  PendingOp& op = *found;
   if (quorum_met(op)) return;
   if (attempt >= options_.retry_budget) {
     fail_op(op_id);
@@ -505,8 +576,8 @@ void Proxy::fire_retransmit(std::uint64_t op_id, int attempt) {
 }
 
 void Proxy::fail_op(std::uint64_t op_id) {
-  auto node = ops_.extract(op_id);
-  PendingOp op = std::move(node.mapped());
+  const std::uint32_t slot = ops_.detach(op_id);
+  PendingOp& op = ops_.record(slot);
   ins_.timeouts->inc();
   trace(obs::Category::kOp, "op_failed", op.oid);
   abort_op_spans(op, sim_.now());
@@ -534,6 +605,7 @@ void Proxy::fail_op(std::uint64_t op_id) {
   // A draining op that times out still drains — otherwise a single lost
   // replica would wedge the NEWQ handshake forever.
   if (op.drains) op_completed_for_drain();
+  ops_.release(slot);
 }
 
 // ------------------------------------------------------------- span layer
@@ -596,9 +668,9 @@ void Proxy::abort_op_spans(PendingOp& op, Time at) {
 
 void Proxy::handle_read_reply(const sim::NodeId& from,
                               const kv::StorageReadResp& resp) {
-  auto it = ops_.find(resp.op_id);
-  if (it == ops_.end()) return;  // stale attempt or already completed
-  PendingOp& op = it->second;
+  PendingOp* found = ops_.find(resp.op_id);
+  if (found == nullptr) return;  // stale attempt or already completed
+  PendingOp& op = *found;
   if (!op.replied.insert(from.index)) {
     // Network duplicate or retransmit answer from an already-counted
     // replica: a quorum must be `needed` *distinct* replicas.
@@ -617,7 +689,7 @@ void Proxy::handle_read_reply(const sim::NodeId& from,
 }
 
 void Proxy::maybe_complete_read(std::uint64_t op_id) {
-  PendingOp& op = ops_.at(op_id);
+  PendingOp& op = *ops_.find(op_id);
   if (!quorum_met(op)) return;
 
   if (!op.repair && op.any_found && op.best.cfno < lcfno_) {
@@ -663,9 +735,9 @@ void Proxy::maybe_complete_read(std::uint64_t op_id) {
 
 void Proxy::handle_write_reply(const sim::NodeId& from,
                                const kv::StorageWriteResp& resp) {
-  auto it = ops_.find(resp.op_id);
-  if (it == ops_.end()) return;
-  PendingOp& op = it->second;
+  PendingOp* found = ops_.find(resp.op_id);
+  if (found == nullptr) return;
+  PendingOp& op = *found;
   if (!op.replied.insert(from.index)) {
     ins_.duplicate_replies->inc();
     return;
@@ -682,8 +754,7 @@ void Proxy::handle_nack(const kv::EpochNack& nack) {
   ins_.nacks_received->inc();
   trace(obs::Category::kQuorum, "nack", nack.op_id, nack.config.epno);
   if (nack.config.epno > lepno_) adopt_full_config(nack.config);
-  auto it = ops_.find(nack.op_id);
-  if (it == ops_.end()) return;
+  if (ops_.find(nack.op_id) == nullptr) return;
   retry_op(nack.op_id);
 }
 
@@ -691,8 +762,7 @@ void Proxy::retry_op(std::uint64_t op_id) {
   // Re-execute the operation in the (newly learned) epoch. A fresh op-id
   // fences replies belonging to the aborted attempt.
   ins_.op_retries->inc();
-  auto node = ops_.extract(op_id);
-  PendingOp op = std::move(node.mapped());
+  PendingOp& op = *ops_.find(op_id);
   abort_op_spans(op, sim_.now());
   if (op.trace_ctx.valid()) {
     // Zero-duration marker: the NACK aborted the attempt here; launch_op
@@ -708,13 +778,14 @@ void Proxy::retry_op(std::uint64_t op_id) {
     op.write_version.cfno = lcfno_;
   }
   const std::uint64_t new_id = next_op_id_++;
-  ops_.emplace(new_id, std::move(op));
+  ops_.rekey(op_id, new_id);
   launch_op(new_id);
 }
 
-void Proxy::finish_op(std::uint64_t op_id, PendingOp& op_ref) {
-  PendingOp op = std::move(op_ref);
-  ops_.erase(op_id);
+void Proxy::finish_op(std::uint64_t op_id, PendingOp& op) {
+  // Unindexed first (late replies find nothing), recycled last: the record
+  // stays intact while the completion below may issue a write-back.
+  const std::uint32_t slot = ops_.detach(op_id);
 
   const bool is_read = op.kind == PendingOp::Kind::kRead;
   if (is_read) {
@@ -732,11 +803,7 @@ void Proxy::finish_op(std::uint64_t op_id, PendingOp& op_ref) {
     // A write-back is a completed write: surface its quorum so the
     // consistency checker's intersection audit knows which replicas now
     // hold the repaired version.
-    if (on_complete_) {
-      on_complete_(OpRecord{op.oid, true, op.start_time, sim_.now(),
-                            self_.index, op.cfno_used,
-                            {op.replied.begin(), op.replied.end()}});
-    }
+    report_completion(op, /*is_write=*/true);
   }
 
   if (op.kind != PendingOp::Kind::kWriteBack) {
@@ -750,11 +817,7 @@ void Proxy::finish_op(std::uint64_t op_id, PendingOp& op_ref) {
     trace(obs::Category::kOp, is_read ? "read_finish" : "write_finish",
           op.oid, static_cast<std::uint64_t>(latency));
     round_latency_sum_ms_ += to_millis(latency);
-    if (on_complete_) {
-      on_complete_(OpRecord{op.oid, !is_read, op.start_time, sim_.now(),
-                            self_.index, op.cfno_used,
-                            {op.replied.begin(), op.replied.end()}});
-    }
+    report_completion(op, !is_read);
   }
 
   // Repaired reads are written back under the current quorum so future
@@ -775,6 +838,19 @@ void Proxy::finish_op(std::uint64_t op_id, PendingOp& op_ref) {
   // Only ops issued before the NEWQ count toward its drain; ops launched
   // under the transition quorum must not release the ACKNEWQ early.
   if (op.drains) op_completed_for_drain();
+  ops_.release(slot);
+}
+
+void Proxy::report_completion(const PendingOp& op, bool is_write) {
+  if (!on_complete_) return;
+  completed_.oid = op.oid;
+  completed_.is_write = is_write;
+  completed_.start = op.start_time;
+  completed_.end = sim_.now();
+  completed_.proxy = self_.index;
+  completed_.cfno = op.cfno_used;
+  completed_.quorum.assign(op.replied.begin(), op.replied.end());
+  on_complete_(completed_);
 }
 
 // ----------------------------------------------------- reconfiguration path
@@ -848,10 +924,10 @@ void Proxy::handle_new_quorum(const sim::NodeId& from,
   drain_cfno_ = msg.cfno;
   drain_reply_to_ = from;
   drain_remaining_ = 0;
-  for (auto& [id, op] : ops_) {
+  ops_.for_each([&](PendingOp& op) {
     op.drains = true;
     ++drain_remaining_;
-  }
+  });
   if (drain_remaining_ == 0) {
     drain_waiting_ = false;
     if (drain_span_.valid()) {

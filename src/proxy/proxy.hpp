@@ -42,6 +42,7 @@
 #include "sim/ids.hpp"
 #include "sim/network.hpp"
 #include "sim/simulator.hpp"
+#include "sim/slab.hpp"
 #include "topk/space_saving.hpp"
 #include "util/histogram.hpp"
 #include "util/rng.hpp"
@@ -257,6 +258,54 @@ class Proxy {
     std::uint32_t last_replica = 0;  // replica of the last counted reply
   };
 
+  /// In-flight operations keyed by op id. Records live in a slab and are
+  /// recycled with their vectors' capacity, so issuing an operation
+  /// allocates nothing once the table is warm. Op ids are issued in
+  /// increasing order, so the index is a ring of slab slots over the live id
+  /// window [base_, base_ + span_); for_each() walks it in issue order (the
+  /// NEWQ drain and crash teardown depend on that order).
+  class OpTable {
+   public:
+    /// Indexes a fresh record (default state, buffers kept) under `id`,
+    /// which must exceed every id inserted before.
+    PendingOp& insert(std::uint64_t id);
+    PendingOp* find(std::uint64_t id);
+    /// Unindexes `id` (which must be present) and returns its slot; the
+    /// record stays valid until release(slot), so completion code can run
+    /// on it while new operations are issued.
+    std::uint32_t detach(std::uint64_t id);
+    void release(std::uint32_t slot) { slab_.release(slot); }
+    PendingOp& record(std::uint32_t slot) { return slab_[slot]; }
+    /// Moves `old_id`'s record to the fresh id `new_id` (NACK re-execution).
+    void rekey(std::uint64_t old_id, std::uint64_t new_id);
+    /// Calls fn(PendingOp&) for every indexed op in id order.
+    template <typename Fn>
+    void for_each(Fn&& fn) {
+      for (std::uint64_t id = base_; id < base_ + span_; ++id) {
+        const std::uint32_t slot = cell(id);
+        if (slot != kNone) fn(slab_[slot]);
+      }
+    }
+    /// Unindexes and releases every op.
+    void clear();
+    std::size_t size() const noexcept { return live_; }
+
+   private:
+    static constexpr std::uint32_t kNone = ~std::uint32_t{0};
+    std::uint32_t& cell(std::uint64_t id) {
+      return ring_[id & (ring_.size() - 1)];
+    }
+    void index(std::uint64_t id, std::uint32_t slot);
+    void grow(std::uint64_t span);
+
+    // Small chunks: each proxy keeps only its own in-flight ops (tens).
+    sim::Slab<PendingOp, 4> slab_;
+    std::vector<std::uint32_t> ring_;  // power-of-two size
+    std::uint64_t base_ = 0;           // lowest id in the window
+    std::uint64_t span_ = 0;           // window length
+    std::size_t live_ = 0;
+  };
+
   // ----------------------------------------------------------- client ops
   void handle_client_read(const sim::NodeId& from, const kv::ClientReadReq&);
   void handle_client_write(const sim::NodeId& from,
@@ -276,6 +325,9 @@ class Proxy {
   void fire_retransmit(std::uint64_t op_id, int attempt);
   void fail_op(std::uint64_t op_id);
   void finish_op(std::uint64_t op_id, PendingOp& op);
+  /// Hands a completed op to on_complete_ through the reused completed_
+  /// record (its quorum buffer keeps its capacity across ops).
+  void report_completion(const PendingOp& op, bool is_write);
   /// Whether the replies in hand form a quorum: the full drawn set answered,
   /// or footprint-many distinct replicas did (counting intersection). On the
   /// majority path this is exactly the pre-strategy `received >= needed`.
@@ -362,9 +414,8 @@ class Proxy {
   sim::NodeId drain_reply_to_;
   obs::SpanContext drain_span_;  // child of the RM's NEWQ span
 
-  // In-flight operations, ordered by op id: the NEWQ drain walks this table,
-  // so iteration must follow issue order, not hash order.
-  std::map<std::uint64_t, PendingOp> ops_;
+  // In-flight operations; iteration follows issue order (see OpTable).
+  OpTable ops_;
   std::uint64_t next_op_id_ = 1;
   std::uint64_t write_seq_ = 0;
 
@@ -429,6 +480,7 @@ class Proxy {
              std::uint64_t b = 0);
 
   OpCallback on_complete_;
+  OpRecord completed_;
 };
 
 }  // namespace qopt::proxy

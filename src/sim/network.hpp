@@ -12,13 +12,18 @@
 //
 // The class is a template over the message type so that the kernel stays
 // independent of the Q-OPT wire protocol.
+//
+// The per-message path is flat: send() moves the message into a recycled
+// in-flight slab slot and schedules a delivery event that captures only
+// (network, slot); node state lives in dense per-kind vectors and the FIFO
+// clamp in an open-addressing link table.
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <span>
-#include <unordered_map>
 #include <utility>
 #include <variant>
 #include <vector>
@@ -28,7 +33,9 @@
 #include "obs/registry.hpp"
 #include "obs/trace.hpp"
 #include "sim/ids.hpp"
+#include "sim/link_table.hpp"
 #include "sim/simulator.hpp"
+#include "sim/slab.hpp"
 #include "util/rng.hpp"
 #include "util/time.hpp"
 
@@ -80,22 +87,26 @@ class Network {
   Network(Simulator& sim, LatencyModel latency, Rng rng)
       : sim_(sim), latency_(latency), rng_(rng) {}
 
+  /// Registers (or re-registers, replacing the handler and clearing the
+  /// crash flag) a node. Not from inside a message handler: the per-kind
+  /// table is dense and may reallocate under the handler being invoked.
   void register_node(const NodeId& id, Handler handler) {
-    nodes_[id] = NodeState{std::move(handler), /*crashed=*/false};
+    std::vector<NodeState>& kind = nodes_.at(static_cast<std::size_t>(id.kind));
+    if (id.index >= kind.size()) kind.resize(std::size_t{id.index} + 1);
+    kind[id.index] = NodeState{std::move(handler), /*registered=*/true,
+                               /*crashed=*/false};
   }
 
   /// A crashed node neither sends nor receives; messages already in flight
   /// to it are dropped at delivery time. Pass false to model a recovery
   /// (crash-recovery nodes re-attach with their durable state).
   void set_crashed(const NodeId& id, bool crashed = true) {
-    if (auto it = nodes_.find(id); it != nodes_.end()) {
-      it->second.crashed = crashed;
-    }
+    if (NodeState* node = find_node(id)) node->crashed = crashed;
   }
 
   bool is_crashed(const NodeId& id) const {
-    auto it = nodes_.find(id);
-    return it != nodes_.end() && it->second.crashed;
+    const NodeState* node = find_node(id);
+    return node != nullptr && node->crashed;
   }
 
   // ------------------------------------------------------ link-fault plane
@@ -189,8 +200,7 @@ class Network {
     ++stats_.messages_sent;
     if (sent_) sent_->inc();
     if (tap_) tap_(from, to);
-    auto from_it = nodes_.find(from);
-    if (from_it != nodes_.end() && from_it->second.crashed) {
+    if (is_crashed(from)) {
       ++stats_.messages_dropped;
       ++stats_.dropped_sender_crashed;
       if (drop_sender_) drop_sender_->inc();
@@ -212,13 +222,16 @@ class Network {
       ++stats_.delay_spikes;
       lat += delay_spike_;
     }
-    schedule_delivery(from, to, msg, lat);
+    const std::uint32_t slot = schedule_delivery(from, to, lat);
+    inflight_[slot].msg = std::move(msg);
     if (duplication_ > 0 && rng_.chance(duplication_)) {
       // The duplicate takes its own latency draw: it may arrive well after
       // the original (receivers must be idempotent), though never before it
       // on the same link thanks to the FIFO clamp.
-      schedule_delivery(from, to, msg, lat + latency_.sample(rng_),
-                        /*duplicate=*/true);
+      const std::uint32_t dup =
+          schedule_delivery(from, to, lat + latency_.sample(rng_),
+                            /*duplicate=*/true);
+      inflight_[dup].msg = inflight_[slot].msg;
     }
   }
 
@@ -232,8 +245,20 @@ class Network {
  private:
   struct NodeState {
     Handler handler;
+    bool registered = false;
     bool crashed = false;
   };
+
+  /// A message between send() and its delivery event.
+  struct InFlight {
+    M msg{};
+    NodeId from;
+    NodeId to;
+    bool duplicate = false;
+  };
+
+  static constexpr std::size_t kNodeKinds =
+      static_cast<std::size_t>(NodeKind::kAutonomicManager) + 1;
 
   struct Partition {
     std::uint64_t id = 0;
@@ -254,33 +279,24 @@ class Network {
     return std::clamp(p, 0.0, 1.0);
   }
 
-  /// Hash of an ordered (from, to) link. Each NodeId packs exactly into
-  /// (kind << 32) | index, so distinct links mix distinct inputs; the FIFO
-  /// table is never iterated, only probed, so hash order can't leak into
-  /// the deterministic schedule.
-  struct LinkHash {
-    std::size_t operator()(
-        const std::pair<NodeId, NodeId>& link) const noexcept {
-      const std::uint64_t a =
-          (static_cast<std::uint64_t>(link.first.kind) << 32) |
-          link.first.index;
-      const std::uint64_t b =
-          (static_cast<std::uint64_t>(link.second.kind) << 32) |
-          link.second.index;
-      std::uint64_t h = a * 0x9E3779B97F4A7C15ull ^ b;
-      h ^= h >> 33;
-      h *= 0xFF51AFD7ED558CCDull;
-      h ^= h >> 33;
-      return static_cast<std::size_t>(h);
-    }
-  };
+  NodeState* find_node(const NodeId& id) {
+    const auto kind = static_cast<std::size_t>(id.kind);
+    if (kind >= kNodeKinds || id.index >= nodes_[kind].size()) return nullptr;
+    NodeState& node = nodes_[kind][id.index];
+    return node.registered ? &node : nullptr;
+  }
+  const NodeState* find_node(const NodeId& id) const {
+    return const_cast<Network*>(this)->find_node(id);
+  }
 
-  void schedule_delivery(const NodeId& from, const NodeId& to, const M& msg,
-                         Duration lat, bool duplicate = false) {
+  /// Claims an in-flight slot for a from -> to message and schedules its
+  /// delivery; the caller stores the message in the returned slot.
+  std::uint32_t schedule_delivery(const NodeId& from, const NodeId& to,
+                                  Duration lat, bool duplicate = false) {
     // FIFO per ordered pair: clamp the delivery instant to strictly after
     // the previous delivery on this link.
     Time deliver_at = sim_.now() + lat;
-    auto& last = last_delivery_[{from, to}];
+    Time& last = last_delivery_.last_delivery(from, to);
     if (deliver_at <= last) {
       deliver_at = last + 1;
 #if QOPT_PROFILE_ENABLED
@@ -292,13 +308,26 @@ class Network {
 #endif
     }
     last = deliver_at;
-    sim_.at(deliver_at, [this, from, to, duplicate, m = msg]() {
-      deliver(from, to, m, duplicate);
-    });
+    const std::uint32_t slot = inflight_.acquire();
+    InFlight& flight = inflight_[slot];
+    flight.from = from;
+    flight.to = to;
+    flight.duplicate = duplicate;
+    sim_.at(deliver_at, [this, slot] { deliver(slot); });
+    return slot;
   }
 
-  void deliver(const NodeId& from, const NodeId& to, const M& msg,
-               bool duplicate) {
+  void deliver(std::uint32_t slot) {
+    // The slab keeps the slot's address stable while the handler runs (it
+    // may send further messages); the slot is recycled afterwards.
+    dispatch(inflight_[slot]);
+    inflight_.release(slot);
+  }
+
+  void dispatch(const InFlight& flight) {
+    const NodeId& from = flight.from;
+    const NodeId& to = flight.to;
+    const M& msg = flight.msg;
 #if QOPT_PROFILE_ENABLED
     // Claim the event for the network layer; the component handler invoked
     // below overrides the claim with its own subsystem (last claim wins),
@@ -311,15 +340,15 @@ class Network {
       prof = nullptr;
     }
 #endif
-    auto it = nodes_.find(to);
-    if (it == nodes_.end() || !it->second.handler) {
+    NodeState* node = find_node(to);
+    if (node == nullptr || !node->handler) {
       ++stats_.messages_dropped;
       ++stats_.dropped_unroutable;
       if (drop_unroutable_) drop_unroutable_->inc();
       trace_drop("drop_unroutable", from, to);
       return;
     }
-    if (it->second.crashed) {
+    if (node->crashed) {
       ++stats_.messages_dropped;
       ++stats_.dropped_receiver_crashed;
       if (drop_receiver_) drop_receiver_->inc();
@@ -338,7 +367,7 @@ class Network {
     }
     ++stats_.messages_delivered;
     if (delivered_) delivered_->inc();
-    if (duplicate) {
+    if (flight.duplicate) {
       ++stats_.duplicates_delivered;
       if (duplicated_) duplicated_->inc();
     }
@@ -349,7 +378,7 @@ class Network {
       }
     }
 #endif
-    it->second.handler(from, msg);
+    node->handler(from, msg);
   }
 
   void trace_drop(const char* name, const NodeId& from, const NodeId& to) {
@@ -361,11 +390,11 @@ class Network {
   Simulator& sim_;
   LatencyModel latency_;
   Rng rng_;
-  std::unordered_map<NodeId, NodeState, NodeIdHash> nodes_;
-  // Hashed, not ordered: probed once per message send (the FIFO clamp), so
-  // the red-black tree walk was pure overhead on the hottest path.
-  std::unordered_map<std::pair<NodeId, NodeId>, Time, LinkHash>
-      last_delivery_;
+  // Dense per-kind node tables indexed by NodeId::index; `registered`
+  // tells a hole from a node.
+  std::array<std::vector<NodeState>, kNodeKinds> nodes_;
+  LinkTable last_delivery_;
+  Slab<InFlight> inflight_;
   NetworkStats stats_;
   SendTap tap_;
   double loss_ = 0.0;

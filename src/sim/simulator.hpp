@@ -1,18 +1,22 @@
 // Deterministic discrete-event simulation kernel.
 //
-// A single virtual clock and a priority queue of closures. Events scheduled
-// for the same instant are processed in scheduling order (a monotone
-// sequence number breaks ties), which makes every run bit-for-bit
-// reproducible from its seed.
+// A single virtual clock and a 4-ary min-heap of (time, seq, slot) keys.
+// Events scheduled for the same instant are processed in scheduling order
+// (a monotone sequence number breaks ties), which makes every run
+// bit-for-bit reproducible from its seed. The callables themselves sit in a
+// slot slab (stable, recycled storage) as small-buffer Tasks, so a heap
+// sift moves 24-byte keys only and scheduling a typical closure allocates
+// nothing.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <limits>
-#include <queue>
 #include <vector>
 
 #include "obs/profiler.hpp"
+#include "sim/slab.hpp"
+#include "sim/task.hpp"
 #include "util/time.hpp"
 
 namespace qopt::sim {
@@ -24,10 +28,12 @@ class Simulator {
   Time now() const noexcept { return now_; }
 
   /// Schedules `fn` at absolute virtual time `t` (clamped to now).
-  void at(Time t, std::function<void()> fn);
+  void at(Time t, Task fn);
 
   /// Schedules `fn` after `d` nanoseconds of virtual time.
-  void after(Duration d, std::function<void()> fn);
+  void after(Duration d, Task fn) {
+    at(now_ + (d > 0 ? d : 0), std::move(fn));
+  }
 
   /// Runs events until the queue empties, `until` is passed, or stop() is
   /// called. Returns the number of events processed.
@@ -39,8 +45,8 @@ class Simulator {
   /// Makes the innermost run() return after the current event.
   void stop() noexcept { stopped_ = true; }
 
-  bool empty() const noexcept { return queue_.empty(); }
-  std::size_t pending() const noexcept { return queue_.size(); }
+  bool empty() const noexcept { return heap_.empty(); }
+  std::size_t pending() const noexcept { return heap_.size(); }
   std::uint64_t events_processed() const noexcept { return processed_; }
 
   /// Attaches the engine self-profiler (owned by the obs bundle; Cluster
@@ -60,11 +66,11 @@ class Simulator {
   // Hook for exhaustive small-scope interleaving exploration (see
   // tests/interleave_gate_test.cpp). When installed, each step() stages the
   // up-to-`window` earliest pending events and asks the chooser which one
-  // runs next; the others go back on the queue with their original time and
-  // sequence number, so clearing the chooser restores the deterministic
-  // (time, seq) order exactly. The virtual clock never moves backwards:
-  // running a later event first pins now() until the displaced earlier
-  // events catch up. Off (null chooser) in every production run.
+  // runs next; the others' keys go back on the heap with their original
+  // time and sequence number, so clearing the chooser restores the
+  // deterministic (time, seq) order exactly. The virtual clock never moves
+  // backwards: running a later event first pins now() until the displaced
+  // earlier events catch up. Off (null chooser) in every production run.
 
   /// Called with the number of staged candidates (>= 2, earliest first);
   /// must return the index of the event to run next.
@@ -78,25 +84,32 @@ class Simulator {
   }
 
  private:
-  struct Event {
+  /// Heap entry: the event's place in the (time, seq) order and the slab
+  /// slot holding its callable.
+  struct Key {
     Time time;
     std::uint64_t seq;
-    std::function<void()> fn;
+    std::uint32_t slot;
+  };
+  static bool earlier(const Key& a, const Key& b) noexcept {
+    if (a.time != b.time) return a.time < b.time;
+    return a.seq < b.seq;
+  }
+  /// Children per heap node: a 4-ary heap halves the depth of a binary one
+  /// and a node's children share about a cache line and a half.
+  static constexpr std::size_t kArity = 4;
+
+  void push_key(const Key& key);
+  /// Removes and returns the (time, seq)-least key.
+  Key pop_key();
+
+  std::vector<Key> heap_;  // kArity-ary min-heap under earlier()
+  Slab<Task> tasks_;
 #if QOPT_PROFILE_ENABLED
-    Time enqueued_at = 0;  // virtual instant at() staged it (dwell telemetry)
+  // Virtual instant at() staged each slot's event (dwell telemetry),
+  // parallel to tasks_ so the Task records stay two cache lines.
+  std::vector<Time> enqueued_at_;
 #endif
-  };
-  struct Later {
-    bool operator()(const Event& a, const Event& b) const noexcept {
-      if (a.time != b.time) return a.time > b.time;
-      return a.seq > b.seq;
-    }
-  };
-
-  /// Pops the (time, seq)-least event, moving it out of the queue.
-  Event pop_least();
-
-  std::priority_queue<Event, std::vector<Event>, Later> queue_;
   Time now_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t processed_ = 0;
@@ -104,7 +117,7 @@ class Simulator {
   // qopt-perf: allow(heap-alloc-hot) null on production runs; step() sees a bool test
   ScheduleChooser chooser_;
   std::size_t chooser_window_ = 0;
-  std::vector<Event> staged_;  // scratch reused across chooser steps
+  std::vector<Key> staged_;  // scratch reused across chooser steps
 #if QOPT_PROFILE_ENABLED
   obs::EngineProfiler* profiler_ = nullptr;
 #endif

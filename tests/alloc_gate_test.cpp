@@ -71,19 +71,21 @@ TEST(AllocGateTest, SteadyStateStaysWithinPerEventBudget) {
   const std::uint64_t allocs = g_alloc_count.load();
   ASSERT_GT(events, 10'000u) << "workload did not reach steady state";
 
-  // Budget: at most 2 heap allocations per simulated event, amortized.
-  // Today's engine measures ~1.3: roughly one std::function per scheduled
-  // event plus per-operation PendingOp bookkeeping (both tracked as the
-  // qopt_perf baseline backlog). The bound leaves jitter headroom but any
-  // systematic +1-per-event regression — reintroduced container churn,
-  // message copies, per-event formatting — fails the gate.
+  // Budget: at most 0.04 heap allocations per simulated event, amortized.
+  // The engine measures ~0.031: events and in-flight messages live in
+  // recycled slabs, timer closures fit the Task's inline buffer, and the
+  // proxy recycles its pending-op records, so what remains is occasional
+  // growth elsewhere (metric reservoirs, per-object state). The bound is
+  // that figure plus ~25% headroom: one allocation per operation (~1 in 14
+  // events) — a reintroduced heap closure, container churn, a message copy,
+  // per-event formatting — fails the gate.
   const double per_event =
       static_cast<double>(allocs) / static_cast<double>(events);
   RecordProperty("allocs_per_event", std::to_string(per_event));
   std::printf("[alloc-gate] %llu allocations / %llu events = %.3f per event\n",
               static_cast<unsigned long long>(allocs),
               static_cast<unsigned long long>(events), per_event);
-  EXPECT_LE(per_event, 2.0)
+  EXPECT_LE(per_event, 0.04)
       << allocs << " allocations over " << events << " events ("
       << per_event << " per event)";
 }

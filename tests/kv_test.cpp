@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 #include <set>
+#include <vector>
 
 #include "kv/placement.hpp"
 #include "kv/quorum.hpp"
@@ -116,6 +117,26 @@ TEST(PlacementTest, FullReplicationUsesAllNodes) {
   const auto replicas = placement.replicas(123);
   std::set<std::uint32_t> unique(replicas.begin(), replicas.end());
   EXPECT_EQ(unique.size(), 5u);
+}
+
+TEST(PlacementTest, MemoMatchesRendezvousInsideAndOutsideTheTable) {
+  const Placement plain(20, 5, 42);
+  Placement memo(20, 5, 42);
+  memo.memoize(1000);
+  memo.memoize(10);  // never shrinks
+  std::vector<std::uint32_t> out;
+  for (ObjectId oid = 0; oid < 2000; ++oid) {  // below and above the memo
+    memo.replicas_into(oid, out);
+    ASSERT_EQ(out, plain.replicas(oid)) << "oid " << oid;
+  }
+  for (ObjectId oid : {ObjectId{1} << 40, ~ObjectId{0}}) {
+    EXPECT_EQ(memo.replicas(oid), plain.replicas(oid));
+  }
+  // Extending the table keeps earlier rows and adds the new range.
+  memo.memoize(1500);
+  for (ObjectId oid = 0; oid < 1500; ++oid) {
+    ASSERT_EQ(memo.replicas(oid), plain.replicas(oid)) << "oid " << oid;
+  }
 }
 
 TEST(PlacementTest, InvalidReplicationThrows) {

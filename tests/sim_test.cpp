@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -7,8 +9,10 @@
 #include "obs/registry.hpp"
 #include "sim/failure_detector.hpp"
 #include "sim/ids.hpp"
+#include "sim/link_table.hpp"
 #include "sim/network.hpp"
 #include "sim/simulator.hpp"
+#include "sim/task.hpp"
 #include "util/rng.hpp"
 #include "util/time.hpp"
 
@@ -105,6 +109,59 @@ TEST(SimulatorTest, StepProcessesOneEvent) {
   EXPECT_EQ(fired, 1);
   EXPECT_TRUE(sim.step());
   EXPECT_FALSE(sim.step());
+}
+
+TEST(SimulatorTest, SameInstantEventsOnRecycledSlotsRunInSeqOrder) {
+  // Each wave's events free their slots, and the next wave's same-instant
+  // events, scheduled from inside handlers, land on those recycled slots in
+  // LIFO order. The run order must still be pure (time, seq).
+  Simulator sim;
+  std::vector<int> order;
+  for (int i = 0; i < 4; ++i) {
+    sim.at(10, [&, i] {
+      order.push_back(i);
+      sim.after(0, [&, i] {  // same instant, later seq
+        order.push_back(10 + i);
+        sim.at(20, [&, i] { order.push_back(20 + i); });
+      });
+    });
+  }
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 10, 11, 12, 13, 20, 21, 22,
+                                     23}));
+  EXPECT_TRUE(sim.empty());
+}
+
+TEST(SimulatorTest, ChooserRequeueAfterSlotReuseRestoresCanonicalOrder) {
+  Simulator sim;
+  std::vector<int> order;
+  for (int i = 0; i < 6; ++i) {
+    sim.at(5, [&order, i] { order.push_back(i); });
+  }
+  // Always run the last staged candidate: event 2, then event 3.
+  sim.set_schedule_chooser([](std::size_t n) { return n - 1; }, 3);
+  ASSERT_TRUE(sim.step());
+  ASSERT_TRUE(sim.step());
+  EXPECT_EQ(order, (std::vector<int>{2, 3}));
+  // These reuse the slots events 2 and 3 released; their keys sort after
+  // every requeued key.
+  sim.at(5, [&order] { order.push_back(6); });
+  sim.at(1, [&order] { order.push_back(7); });  // clamps to now
+  sim.clear_schedule_chooser();
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{2, 3, 0, 1, 4, 5, 6, 7}));
+}
+
+TEST(SimulatorTest, LargeCapturesSpillAndStillRun) {
+  Simulator sim;
+  std::array<std::uint64_t, 64> big{};  // 512 bytes: beyond the inline buffer
+  big[63] = 42;
+  std::uint64_t seen = 0;
+  auto read_big = [&seen, big] { seen = big[63]; };
+  static_assert(!Task::fits_inline<decltype(read_big)>());
+  sim.at(1, std::move(read_big));
+  sim.run();
+  EXPECT_EQ(seen, 42u);
 }
 
 // ---------------------------------------------------------------- node ids
@@ -229,6 +286,59 @@ TEST_F(NetFixture, UnregisteredTargetCountsAsDropped) {
   sim.run();
   EXPECT_EQ(net.stats().messages_dropped, 1u);
   EXPECT_EQ(net.stats().dropped_unroutable, 1u);
+}
+
+TEST_F(NetFixture, OutOfRangeOrUnregisteredIdsAreUnroutable) {
+  net.register_node(proxy_id(0), [](const NodeId&, const std::string&) {});
+  net.register_node(proxy_id(5), [](const NodeId&, const std::string&) {});
+  // A hole in the dense table, an index past it, a kind never registered
+  // and a kind outside the enum: all unroutable, none registered by the
+  // attempt, none a sender crash.
+  const NodeId bogus_kind{static_cast<NodeKind>(200), 0};
+  for (const NodeId& to :
+       {proxy_id(3), proxy_id(1000), storage_id(0), bogus_kind}) {
+    net.send(client_id(0), to, "x");
+    net.set_crashed(to);
+    EXPECT_FALSE(net.is_crashed(to));
+  }
+  net.send(bogus_kind, proxy_id(0), "from an unknown sender");
+  sim.run();
+  EXPECT_EQ(net.stats().dropped_unroutable, 4u);
+  EXPECT_EQ(net.stats().dropped_sender_crashed, 0u);
+  EXPECT_EQ(net.stats().messages_delivered, 1u);
+}
+
+TEST_F(NetFixture, DuplicatedMessagesDeliverBothCopiesInFifoOrder) {
+  std::vector<std::string> received;
+  net.register_node(proxy_id(0), [&](const NodeId&, const std::string& m) {
+    received.push_back(m);
+  });
+  net.set_duplication(1.0);
+  net.send(client_id(0), proxy_id(0), "first");
+  net.send(client_id(0), proxy_id(0), "second");
+  sim.run();
+  EXPECT_EQ(received, (std::vector<std::string>{"first", "first", "second",
+                                                "second"}));
+  EXPECT_EQ(net.stats().duplicates_delivered, 2u);
+  EXPECT_EQ(net.stats().messages_delivered, 4u);
+}
+
+TEST(LinkTableTest, GrowsPastFiveThousandLinksKeepingLastDelivery) {
+  LinkTable table;
+  constexpr std::uint32_t kLinks = 6000;
+  for (std::uint32_t i = 0; i < kLinks; ++i) {
+    Time& last = table.last_delivery(client_id(i), storage_id(i % 7));
+    EXPECT_EQ(last, 0) << "new link " << i << " must start at 0";
+    last = 1000 + i;
+  }
+  EXPECT_EQ(table.size(), kLinks);
+  for (std::uint32_t i = 0; i < kLinks; ++i) {
+    EXPECT_EQ(table.last_delivery(client_id(i), storage_id(i % 7)),
+              Time{1000 + i});
+  }
+  // Links are ordered pairs: the reverse direction is a fresh link.
+  EXPECT_EQ(table.last_delivery(storage_id(0), client_id(0)), 0);
+  EXPECT_EQ(table.size(), kLinks + 1);
 }
 
 TEST_F(NetFixture, DropReasonsSumToTotalAndMirrorIntoRegistry) {
