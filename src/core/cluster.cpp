@@ -224,7 +224,17 @@ void Cluster::preload(std::uint64_t count, std::uint64_t size_bytes,
   // The preloaded ids are the ones the workload will touch: memoize their
   // placement so per-operation lookups skip the rendezvous hashing.
   placement_.memoize(first_oid + count);
+  // Size every node's store for its share up front, so the bulk load below
+  // never rehashes (counting through the memo table is cheap).
   std::vector<std::uint32_t> replicas;
+  std::vector<std::size_t> share(storage_.size(), 0);
+  for (std::uint64_t i = 0; i < count; ++i) {
+    placement_.replicas_into(first_oid + i, replicas);
+    for (std::uint32_t replica : replicas) ++share[replica];
+  }
+  for (std::size_t s = 0; s < storage_.size(); ++s) {
+    storage_[s]->reserve(storage_[s]->object_count() + share[s]);
+  }
   for (std::uint64_t i = 0; i < count; ++i) {
     const kv::ObjectId oid = first_oid + i;
     kv::Version version;

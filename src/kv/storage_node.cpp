@@ -95,8 +95,7 @@ void StorageNode::restart() {
 }
 
 const Version* StorageNode::peek(ObjectId oid) const {
-  auto it = store_.find(oid);
-  return it == store_.end() ? nullptr : &it->second;
+  return store_.find(oid);
 }
 
 void StorageNode::send_nack(const sim::NodeId& to, std::uint64_t op_id) {
@@ -111,8 +110,8 @@ void StorageNode::handle_read(const sim::NodeId& from,
     send_nack(from, req.op_id);
     return;
   }
-  const auto it = store_.find(req.oid);
-  const std::uint64_t size = it != store_.end() ? it->second.size_bytes : 0;
+  const Version* stored = store_.find(req.oid);
+  const std::uint64_t size = stored ? stored->size_bytes : 0;
   const Time done = pool_.submit(sim_.now(), service_.read_time(size, rng_));
   if (req.span.valid()) {
     // Service interval is known up front, so the span opens and closes here
@@ -132,15 +131,16 @@ void StorageNode::handle_read(const sim::NodeId& from,
     ins_.reads_served->inc();
     StorageReadResp resp;
     resp.op_id = op_id;
-    if (auto sit = store_.find(oid); sit != store_.end()) {
+    if (const Version* version = store_.find(oid)) {
       resp.found = true;
-      resp.version = sit->second;  // cfno piggybacked inside the version
+      resp.version = *version;  // cfno piggybacked inside the version
     }
     net_.send(self_, from, resp);
   });
 }
 
-std::set<std::uint64_t>& StorageNode::applied_writes_for(std::uint32_t index) {
+StorageNode::AppliedWindow& StorageNode::applied_writes_for(
+    std::uint32_t index) {
   // Grows only on the first write from a new proxy; afterwards the lookup
   // is a plain vector access.
   if (index >= applied_writes_.size()) applied_writes_.resize(index + 1);
@@ -179,17 +179,17 @@ void StorageNode::handle_write(const sim::NodeId& from,
     if (crashed_ || inc != incarnation_) return;
     // Apply-or-discard at service completion: newer timestamps win; an older
     // write is discarded but still acknowledged (Section 2.1).
-    auto [it, inserted] = store_.try_emplace(req.oid, req.version);
+    auto [stored, inserted] = store_.try_emplace(req.oid, req.version);
     if (!inserted) {
-      if (req.version.ts > it->second.ts) {
-        it->second = req.version;
+      if (req.version.ts > stored->ts) {
+        *stored = req.version;
         ins_.writes_applied->inc();
-      } else if (req.version.ts == it->second.ts &&
-                 req.version.cfno > it->second.cfno) {
+      } else if (req.version.ts == stored->ts &&
+                 req.version.cfno > stored->cfno) {
         // Same write re-propagated under a newer configuration (the
         // read-repair write-back of Algorithm 4): refresh the cfno tag so
         // future reads need not repeat the historical-quorum read.
-        it->second.cfno = req.version.cfno;
+        stored->cfno = req.version.cfno;
         ins_.writes_applied->inc();
       } else {
         ins_.writes_discarded->inc();
@@ -197,12 +197,9 @@ void StorageNode::handle_write(const sim::NodeId& from,
     } else {
       ins_.writes_applied->inc();
     }
-    auto& applied = applied_writes_for(from.index);
-    applied.insert(req.op_id);
-    // Bound the window; proxy op-ids grow monotonically, so evicting the
-    // smallest ids loses only the oldest (least likely to re-arrive) ones.
-    constexpr std::size_t kDedupWindow = 4096;
-    while (applied.size() > kDedupWindow) applied.erase(applied.begin());
+    // The window is bounded; proxy op-ids grow monotonically, so evicting
+    // the smallest ids loses only the oldest (least likely to re-arrive).
+    applied_writes_for(from.index).insert(req.op_id);
     net_.send(self_, from, StorageWriteResp{req.op_id});
   });
 }
@@ -214,13 +211,12 @@ Time StorageNode::replicate_in(ObjectId oid, const Version& version) {
   sim_.at(done, [this, oid, version, inc = incarnation_] {
     QOPT_PROFILE_SCOPE(obs_, obs::ProfSubsystem::kStorage);
     if (crashed_ || inc != incarnation_) return;
-    auto [it, inserted] = store_.try_emplace(oid, version);
+    auto [stored, inserted] = store_.try_emplace(oid, version);
     if (!inserted) {
-      if (version.ts > it->second.ts) {
-        it->second = version;
-      } else if (version.ts == it->second.ts &&
-                 version.cfno > it->second.cfno) {
-        it->second.cfno = version.cfno;
+      if (version.ts > stored->ts) {
+        *stored = version;
+      } else if (version.ts == stored->ts && version.cfno > stored->cfno) {
+        stored->cfno = version.cfno;
       }
     }
   });

@@ -12,12 +12,12 @@
 //    disk-bound writes.
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <set>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "kv/quorum.hpp"
@@ -29,6 +29,7 @@
 #include "sim/ids.hpp"
 #include "sim/network.hpp"
 #include "sim/simulator.hpp"
+#include "util/flat_table.hpp"
 #include "util/rng.hpp"
 #include "util/time.hpp"
 
@@ -83,26 +84,33 @@ class StorageNode {
   /// Direct store inspection for tests; returns nullptr when absent.
   const Version* peek(ObjectId oid) const;
 
+  /// Sizes the store for `objects` entries in total, so a bulk load of
+  /// that many never rehashes.
+  void reserve(std::size_t objects) { store_.reserve(objects); }
+
   /// Installs a version directly, bypassing the protocol (bulk load phase).
   void preload(ObjectId oid, const Version& version) {
-    store_[oid] = version;
+    *store_.try_emplace(oid, version).first = version;
   }
 
   /// Full store contents as an oid-ordered snapshot (diagnostics/tests).
-  /// The live store is a hash map for the hot path; exposing it directly
-  /// would leak implementation-defined iteration order.
+  /// The live store is a hash table for the hot path; exposing it directly
+  /// would leak its slot order.
   std::map<ObjectId, Version> sorted_contents() const {
-    return {store_.begin(), store_.end()};
+    std::map<ObjectId, Version> out;
+    store_.for_each([&out](ObjectId oid, const Version& version) {
+      out.emplace(oid, version);
+    });
+    return out;
   }
 
   /// Visits every stored (oid, version) pair without materializing a
-  /// snapshot (anti-entropy sweeps). Iteration order is the hash map's —
-  /// implementation-defined — so callers deriving schedules from it must
-  /// sort what they collect (the replicator stable-sorts into its scratch).
+  /// snapshot (anti-entropy sweeps). Iteration order is the hash table's
+  /// slot order, so callers deriving schedules from it must sort what they
+  /// collect (the replicator stable-sorts into its scratch).
   template <typename Fn>
   void for_each_version(Fn&& fn) const {
-    // qopt-lint: allow(unordered-iter) callers must sort what they collect
-    for (const auto& [oid, version] : store_) fn(oid, version);
+    store_.for_each(fn);
   }
 
   /// Anti-entropy push from the replicator daemon: pays write service time
@@ -124,24 +132,60 @@ class StorageNode {
   ServiceTimes service_;
   ServicePool pool_;
   Rng rng_;
-  std::unordered_map<ObjectId, Version> store_;
+  /// oid -> version, inline in one open-addressing table: a lookup is one
+  /// probe run over 56-byte slots.
+  FlatTable<Version> store_;
   FullConfig config_;  // epno/cfno/current quorum state, from NEWEP messages
   bool crashed_ = false;
   /// Bumped on every crash: service-completion events scheduled before the
   /// crash carry the old incarnation and are discarded, so a quick restart
   /// cannot resurrect requests the crash should have lost.
   std::uint64_t incarnation_ = 0;
-  /// At-least-once write dedup: per-proxy set of write op-ids whose apply
+  /// One proxy's applied write op-ids: the kDedupWindow largest ids
+  /// inserted, sorted ascending in one flat buffer. ids_[head_, end) are
+  /// live; evicting the smallest id advances head_, and the dead prefix is
+  /// compacted away once it reaches the window size. Op-ids grow
+  /// monotonically per proxy, so inserts land at or near the tail, and once
+  /// the buffer has reached its bounded size an insert allocates nothing.
+  class AppliedWindow {
+   public:
+    static constexpr std::size_t kDedupWindow = 4096;
+
+    bool contains(std::uint64_t id) const {
+      return std::binary_search(live_begin(), ids_.cend(), id);
+    }
+
+    void insert(std::uint64_t id) {
+      const auto pos = std::lower_bound(live_begin(), ids_.cend(), id);
+      if (pos != ids_.cend() && *pos == id) return;
+      ids_.insert(pos, id);
+      if (ids_.size() - head_ > kDedupWindow) ++head_;
+      if (head_ == kDedupWindow) {
+        ids_.erase(ids_.cbegin(), live_begin());
+        head_ = 0;
+      }
+    }
+
+   private:
+    std::vector<std::uint64_t>::const_iterator live_begin() const {
+      return ids_.cbegin() + static_cast<std::ptrdiff_t>(head_);
+    }
+
+    std::vector<std::uint64_t> ids_;
+    std::size_t head_ = 0;
+  };
+
+  /// At-least-once write dedup: per-proxy window of write op-ids whose apply
   /// already ran (inserted at service completion, so a dedup ack never
-  /// precedes durability). Bounded by pruning the oldest ids; an evicted id
-  /// that re-arrives is re-applied, which the freshest-wins rule makes
+  /// precedes durability). Bounded by evicting the smallest ids; an evicted
+  /// id that re-arrives is re-applied, which the freshest-wins rule makes
   /// idempotent. Volatile: cleared on crash (it is RAM, not disk).
   /// Indexed by the dense proxy index (grown on demand) so the per-write
-  /// lookup is a vector access, not a map-node search/allocation.
-  std::vector<std::set<std::uint64_t>> applied_writes_;
+  /// lookup is a vector access.
+  std::vector<AppliedWindow> applied_writes_;
 
-  /// The dedup set for proxy `index`, growing the table on first contact.
-  std::set<std::uint64_t>& applied_writes_for(std::uint32_t index);
+  /// The dedup window for proxy `index`, growing the table on first contact.
+  AppliedWindow& applied_writes_for(std::uint32_t index);
 
   // Observability: counters cached at construction, bumped on the hot path.
   std::unique_ptr<obs::Observability> own_obs_;  // fallback when none shared

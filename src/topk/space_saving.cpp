@@ -7,9 +7,9 @@
 namespace qopt::topk {
 
 SpaceSaving::SpaceSaving(std::size_t capacity)
-    : capacity_(capacity ? capacity : 1) {
-  slots_.reserve(capacity_);
-  heap_.reserve(capacity_);
+    : capacity_(capacity ? capacity : 1),
+      slots_(capacity_),
+      heap_(capacity_) {
   index_.reserve(capacity_ * 2);
 }
 
@@ -36,7 +36,7 @@ void SpaceSaving::sift_up(std::size_t i) {
 }
 
 void SpaceSaving::sift_down(std::size_t i) {
-  const std::size_t n = heap_.size();
+  const std::size_t n = size_;
   for (;;) {
     std::size_t smallest = i;
     const std::size_t l = 2 * i + 1;
@@ -49,20 +49,25 @@ void SpaceSaving::sift_down(std::size_t i) {
   }
 }
 
+void SpaceSaving::append(std::uint64_t key, std::uint64_t count,
+                         std::uint64_t error) {
+  const std::size_t slot_idx = size_++;
+  slots_[slot_idx] = Slot{key, count, error, slot_idx};
+  heap_[slot_idx] = slot_idx;
+  index_.try_emplace(key, slot_idx);
+  sift_up(slot_idx);
+}
+
 void SpaceSaving::add(std::uint64_t key, std::uint64_t increment) {
   stream_length_ += increment;
-  if (auto it = index_.find(key); it != index_.end()) {
-    Slot& slot = slots_[it->second];
+  if (const std::size_t* slot_idx = index_.find(key)) {
+    Slot& slot = slots_[*slot_idx];
     slot.count += increment;
     sift_down(slot.heap_pos);
     return;
   }
-  if (slots_.size() < capacity_) {
-    const std::size_t slot_idx = slots_.size();
-    slots_.push_back(Slot{key, increment, 0, heap_.size()});
-    heap_.push_back(slot_idx);
-    index_.emplace(key, slot_idx);
-    sift_up(slots_[slot_idx].heap_pos);
+  if (size_ < capacity_) {
+    append(key, increment, 0);
     return;
   }
   // Evict the minimum-count slot: the newcomer inherits its count as the
@@ -70,7 +75,7 @@ void SpaceSaving::add(std::uint64_t key, std::uint64_t increment) {
   const std::size_t victim_idx = heap_[0];
   Slot& victim = slots_[victim_idx];
   index_.erase(victim.key);
-  index_.emplace(key, victim_idx);
+  index_.try_emplace(key, victim_idx);
   victim.error = victim.count;
   victim.count += increment;
   victim.key = key;
@@ -79,8 +84,9 @@ void SpaceSaving::add(std::uint64_t key, std::uint64_t increment) {
 
 std::vector<TopKEntry> SpaceSaving::top(std::size_t k) const {
   std::vector<TopKEntry> out;
-  out.reserve(slots_.size());
-  for (const Slot& slot : slots_) {
+  out.reserve(size_);
+  for (std::size_t i = 0; i < size_; ++i) {
+    const Slot& slot = slots_[i];
     out.push_back(TopKEntry{slot.key, slot.count, slot.error});
   }
   std::sort(out.begin(), out.end(),
@@ -93,21 +99,20 @@ std::vector<TopKEntry> SpaceSaving::top(std::size_t k) const {
 }
 
 std::uint64_t SpaceSaving::estimate(std::uint64_t key) const {
-  auto it = index_.find(key);
-  return it == index_.end() ? 0 : slots_[it->second].count;
+  const std::size_t* slot_idx = index_.find(key);
+  return slot_idx ? slots_[*slot_idx].count : 0;
 }
 
 bool SpaceSaving::guaranteed_above(std::uint64_t key,
                                    std::uint64_t threshold) const {
-  auto it = index_.find(key);
-  if (it == index_.end()) return false;
-  const Slot& slot = slots_[it->second];
+  const std::size_t* slot_idx = index_.find(key);
+  if (!slot_idx) return false;
+  const Slot& slot = slots_[*slot_idx];
   return slot.count - slot.error > threshold;
 }
 
 void SpaceSaving::clear() {
-  slots_.clear();
-  heap_.clear();
+  size_ = 0;
   index_.clear();
   stream_length_ = 0;
 }
@@ -118,11 +123,9 @@ void SpaceSaving::merge(const SpaceSaving& other) {
   // minimum count, which we fold into the error term (standard summary
   // merge, cf. Agarwal et al., "Mergeable summaries").
   std::uint64_t my_min = 0;
-  if (slots_.size() == capacity_ && !heap_.empty()) {
-    my_min = slots_[heap_[0]].count;
-  }
+  if (size_ == capacity_) my_min = slots_[heap_[0]].count;
   std::uint64_t other_min = 0;
-  if (other.slots_.size() == other.capacity_ && !other.heap_.empty()) {
+  if (other.size_ == other.capacity_) {
     other_min = other.slots_[other.heap_[0]].count;
   }
 
@@ -130,10 +133,12 @@ void SpaceSaving::merge(const SpaceSaving& other) {
   // tiebreak, and equal-count runs must enter the sort in key order for the
   // result to be independent of hash layout.
   std::map<std::uint64_t, TopKEntry> merged;
-  for (const Slot& slot : slots_) {
+  for (std::size_t i = 0; i < size_; ++i) {
+    const Slot& slot = slots_[i];
     merged[slot.key] = TopKEntry{slot.key, slot.count, slot.error};
   }
-  for (const Slot& slot : other.slots_) {
+  for (std::size_t i = 0; i < other.size_; ++i) {
+    const Slot& slot = other.slots_[i];
     auto [it, inserted] =
         merged.emplace(slot.key, TopKEntry{slot.key, slot.count, slot.error});
     if (!inserted) {
@@ -145,7 +150,7 @@ void SpaceSaving::merge(const SpaceSaving& other) {
     }
   }
   for (auto& [key, entry] : merged) {
-    if (other.index_.find(key) == other.index_.end() && other_min > 0) {
+    if (other.index_.find(key) == nullptr && other_min > 0) {
       entry.count += other_min;
       entry.error += other_min;
     }
@@ -165,11 +170,7 @@ void SpaceSaving::merge(const SpaceSaving& other) {
   clear();
   stream_length_ = total;
   for (const TopKEntry& entry : entries) {
-    const std::size_t slot_idx = slots_.size();
-    slots_.push_back(Slot{entry.key, entry.count, entry.error, heap_.size()});
-    heap_.push_back(slot_idx);
-    index_.emplace(entry.key, slot_idx);
-    sift_up(slots_[slot_idx].heap_pos);
+    append(entry.key, entry.count, entry.error);
   }
 }
 

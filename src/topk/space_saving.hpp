@@ -14,8 +14,9 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
+
+#include "util/flat_table.hpp"
 
 namespace qopt::topk {
 
@@ -43,7 +44,7 @@ class SpaceSaving {
   bool guaranteed_above(std::uint64_t key, std::uint64_t threshold) const;
 
   std::size_t capacity() const noexcept { return capacity_; }
-  std::size_t size() const noexcept { return slots_.size(); }
+  std::size_t size() const noexcept { return size_; }
   std::uint64_t stream_length() const noexcept { return stream_length_; }
 
   void clear();
@@ -66,11 +67,17 @@ class SpaceSaving {
   void heap_swap(std::size_t i, std::size_t j);
   void sift_up(std::size_t i);
   void sift_down(std::size_t i);
+  /// Appends a new slot (size_ < capacity_) and restores the heap.
+  void append(std::uint64_t key, std::uint64_t count, std::uint64_t error);
 
+  // slots_ and heap_ are allocated at full capacity up front; the first
+  // size_ entries of each are live. The index is sized once for 2 x
+  // capacity keys, so an update (even one that evicts) never allocates.
   std::size_t capacity_;
+  std::size_t size_ = 0;
   std::vector<Slot> slots_;
   std::vector<std::size_t> heap_;  // heap of slot indices
-  std::unordered_map<std::uint64_t, std::size_t> index_;  // key -> slot
+  FlatTable<std::size_t> index_;   // key -> slot
   std::uint64_t stream_length_ = 0;
 };
 

@@ -376,5 +376,70 @@ TEST_F(StorageFixture, PreloadBypassesProtocol) {
   EXPECT_EQ(resp.version.value, 77u);
 }
 
+TEST_F(StorageFixture, NewOidWritesGrowThePreloadedStore) {
+  // The store is sized for its preload; writes of many new oids (0 and the
+  // all-ones id among them) grow it several times. Rewrites of preloaded
+  // oids replace in place. Every view must then match an ordered reference.
+  constexpr ObjectId kMax = ~ObjectId{0};
+  std::map<ObjectId, Version> reference;
+  node->reserve(8);
+  for (ObjectId oid = 100; oid < 108; ++oid) {
+    Version v;
+    v.value = oid;
+    v.size_bytes = 0;
+    node->preload(oid, v);
+    reference[oid] = v;
+  }
+  Rng keys(5);
+  for (std::uint64_t i = 0; i < 600; ++i) {
+    ObjectId oid = keys.next();
+    if (i == 0) {
+      oid = 0;
+    } else if (i == 1) {
+      oid = kMax;
+    } else if (i % 10 == 0) {
+      oid = 100 + i % 8;  // a preloaded oid, rewritten with a newer ts
+    }
+    Version v;
+    v.ts = {static_cast<Time>(i + 1), 0, i};
+    v.value = i;
+    v.size_bytes = 0;
+    send(StorageWriteReq{oid, i + 1, 0, v, {}});
+    reference[oid] = v;
+  }
+  sim.run();
+
+  const auto same = [](const Version& a, const Version& b) {
+    return a.ts == b.ts && a.cfno == b.cfno && a.value == b.value &&
+           a.size_bytes == b.size_bytes;
+  };
+  ASSERT_EQ(node->object_count(), reference.size());
+  const auto contents = node->sorted_contents();
+  ASSERT_EQ(contents.size(), reference.size());
+  for (const auto& [oid, version] : reference) {
+    const Version* stored = node->peek(oid);
+    ASSERT_NE(stored, nullptr) << oid;
+    EXPECT_TRUE(same(*stored, version)) << oid;
+    ASSERT_EQ(contents.count(oid), 1u) << oid;
+    EXPECT_TRUE(same(contents.at(oid), version)) << oid;
+  }
+  EXPECT_EQ(node->peek(108), nullptr);
+  EXPECT_EQ(node->peek(kMax - 1), nullptr);
+
+  std::vector<std::pair<ObjectId, Version>> visited;
+  node->for_each_version([&visited](ObjectId oid, const Version& version) {
+    visited.emplace_back(oid, version);
+  });
+  std::sort(visited.begin(), visited.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  ASSERT_EQ(visited.size(), reference.size());
+  auto ref = reference.begin();
+  for (const auto& [oid, version] : visited) {
+    EXPECT_EQ(oid, ref->first);
+    EXPECT_TRUE(same(version, ref->second)) << oid;
+    ++ref;
+  }
+}
+
 }  // namespace
 }  // namespace qopt::kv

@@ -245,6 +245,44 @@ TEST_F(DedupFixture, CrashClearsTheDedupTableWithTheRam) {
   EXPECT_EQ(node->peek(7)->value, 5u);
 }
 
+TEST_F(DedupFixture, WindowKeepsTheLargest4096AppliedIds) {
+  // Apply 13000 writes in a scrambled op-id order, so inserts land inside
+  // the window and its dead prefix is compacted more than once. Whatever
+  // the order, the window then holds exactly the 4096 largest ids.
+  constexpr std::uint64_t kWrites = 13'000;
+  const auto write = [](std::uint64_t op_id) {
+    kv::Version v;
+    v.ts = {static_cast<Time>(op_id), 0, op_id};
+    v.value = op_id;
+    return kv::StorageWriteReq{op_id % 64, op_id, 0, v, {}};
+  };
+  for (std::uint64_t i = 0; i < kWrites; ++i) {
+    net.send(sim::proxy_id(0), sim::storage_id(0),
+             write(1 + (i * 7919) % kWrites));
+  }
+  sim.run();
+  ASSERT_EQ(counter("dup_writes_ignored"), 0u);
+  const std::uint64_t oldest_kept = kWrites - 4096 + 1;
+
+  const auto redeliver = [&](std::uint64_t op_id) {
+    const std::uint64_t before = counter("dup_writes_ignored");
+    net.send(sim::proxy_id(0), sim::storage_id(0), write(op_id));
+    sim.run();
+    return counter("dup_writes_ignored") > before;
+  };
+  EXPECT_TRUE(redeliver(kWrites));
+  EXPECT_TRUE(redeliver(oldest_kept));
+  // An evicted id is re-applied, then evicted again as the smallest.
+  EXPECT_FALSE(redeliver(oldest_kept - 1));
+  EXPECT_FALSE(redeliver(1));
+  EXPECT_TRUE(redeliver(oldest_kept));
+  // A new largest id evicts the oldest kept one.
+  EXPECT_FALSE(redeliver(kWrites + 1));
+  EXPECT_FALSE(redeliver(oldest_kept));
+  EXPECT_TRUE(redeliver(oldest_kept + 1));
+  EXPECT_TRUE(redeliver(kWrites + 1));
+}
+
 // ---------------------------------------------------- cluster-level faults
 
 ClusterConfig lossy_config(std::uint64_t seed) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <map>
 #include <vector>
 
@@ -184,6 +185,174 @@ TEST(SpaceSavingTest, DeterministicTieBreakByKey) {
   EXPECT_EQ(top[0].key, 2u);
   EXPECT_EQ(top[1].key, 5u);
   EXPECT_EQ(top[2].key, 9u);
+}
+
+/// Brute-force Space-Saving with the summary's exact tie rules: the
+/// evicted key is the minimum by (count, key), top() ranks by count
+/// descending then key ascending, and merge re-ranks the union the same way.
+class ModelSummary {
+ public:
+  explicit ModelSummary(std::size_t capacity) : capacity_(capacity) {}
+
+  void add(std::uint64_t key, std::uint64_t increment) {
+    stream_ += increment;
+    if (auto it = entries_.find(key); it != entries_.end()) {
+      it->second.count += increment;
+      return;
+    }
+    if (entries_.size() < capacity_) {
+      entries_[key] = {key, increment, 0};
+      return;
+    }
+    const auto victim = std::min_element(
+        entries_.begin(), entries_.end(), [](const auto& a, const auto& b) {
+          if (a.second.count != b.second.count) {
+            return a.second.count < b.second.count;
+          }
+          return a.first < b.first;
+        });
+    const std::uint64_t min = victim->second.count;
+    entries_.erase(victim);
+    entries_[key] = {key, min + increment, min};
+  }
+
+  std::vector<TopKEntry> top(std::size_t k) const {
+    std::vector<TopKEntry> out;
+    for (const auto& [key, e] : entries_) out.push_back(e);
+    std::sort(out.begin(), out.end(), by_rank);
+    if (out.size() > k) out.resize(k);
+    return out;
+  }
+
+  std::uint64_t estimate(std::uint64_t key) const {
+    const auto it = entries_.find(key);
+    return it == entries_.end() ? 0 : it->second.count;
+  }
+
+  bool guaranteed_above(std::uint64_t key, std::uint64_t threshold) const {
+    const auto it = entries_.find(key);
+    return it != entries_.end() &&
+           it->second.count - it->second.error > threshold;
+  }
+
+  void clear() {
+    entries_.clear();
+    stream_ = 0;
+  }
+
+  void merge(const ModelSummary& other) {
+    const std::uint64_t my_min = full() ? top(capacity_).back().count : 0;
+    const std::uint64_t other_min =
+        other.full() ? other.top(other.capacity_).back().count : 0;
+    std::map<std::uint64_t, TopKEntry> merged = entries_;
+    for (const auto& [key, e] : other.entries_) {
+      auto [it, inserted] = merged.emplace(key, e);
+      if (!inserted) {
+        it->second.count += e.count;
+        it->second.error += e.error;
+      } else {
+        it->second.count += my_min;
+        it->second.error += my_min;
+      }
+    }
+    for (auto& [key, e] : merged) {
+      if (other.entries_.count(key) == 0) {
+        e.count += other_min;
+        e.error += other_min;
+      }
+    }
+    std::vector<TopKEntry> ranked;
+    for (const auto& [key, e] : merged) ranked.push_back(e);
+    std::sort(ranked.begin(), ranked.end(), by_rank);
+    if (ranked.size() > capacity_) ranked.resize(capacity_);
+    entries_.clear();
+    for (const TopKEntry& e : ranked) entries_[e.key] = e;
+    stream_ += other.stream_;
+  }
+
+  std::uint64_t stream_length() const { return stream_; }
+
+ private:
+  static bool by_rank(const TopKEntry& a, const TopKEntry& b) {
+    if (a.count != b.count) return a.count > b.count;
+    return a.key < b.key;
+  }
+  bool full() const { return entries_.size() == capacity_; }
+
+  std::size_t capacity_;
+  std::map<std::uint64_t, TopKEntry> entries_;
+  std::uint64_t stream_ = 0;
+};
+
+void expect_same(const SpaceSaving& summary, const ModelSummary& model,
+                 std::size_t capacity, std::uint64_t probe) {
+  const auto got = summary.top(capacity + 1);
+  const auto want = model.top(capacity + 1);
+  ASSERT_EQ(got.size(), want.size());
+  ASSERT_EQ(summary.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(got[i].key, want[i].key) << "rank " << i;
+    ASSERT_EQ(got[i].count, want[i].count) << "rank " << i;
+    ASSERT_EQ(got[i].error, want[i].error) << "rank " << i;
+  }
+  ASSERT_EQ(summary.stream_length(), model.stream_length());
+  ASSERT_EQ(summary.estimate(probe), model.estimate(probe)) << probe;
+  for (std::uint64_t threshold : {0, 1, 3, 10}) {
+    ASSERT_EQ(summary.guaranteed_above(probe, threshold),
+              model.guaranteed_above(probe, threshold))
+        << probe << " above " << threshold;
+  }
+}
+
+TEST(SpaceSavingTest, MatchesBruteForceModelOnEvictingStreams) {
+  // Key streams far wider than the capacity, so nearly every new key
+  // evicts; a second summary (another capacity) is merged in and both are
+  // cleared at random points. The keys include 0 and the all-ones id.
+  constexpr std::uint64_t kMax = ~std::uint64_t{0};
+  for (const std::size_t capacity : {std::size_t{1}, std::size_t{7},
+                                     std::size_t{128}}) {
+    SCOPED_TRACE(capacity);
+    Rng rng(capacity * 7919);
+    const std::uint64_t universe = capacity * 4 + 8;
+    const auto draw = [&]() -> std::uint64_t {
+      const std::uint64_t r = rng.next_below(universe + 2);
+      if (r == universe) return kMax;
+      if (r == universe + 1) return kMax - 1;
+      // Skewed: half the draws come from a small hot set.
+      return rng.chance(0.5) ? r % 4 : r;
+    };
+    SpaceSaving summary(capacity);
+    SpaceSaving other(capacity + 3);
+    ModelSummary model(capacity);
+    ModelSummary other_model(capacity + 3);
+    for (int step = 0; step < 6000; ++step) {
+      const std::uint64_t key = draw();
+      const std::uint64_t increment = rng.chance(0.1) ? 1 + rng.next_below(5)
+                                                      : 1;
+      if (rng.chance(0.3)) {
+        other.add(key, increment);
+        other_model.add(key, increment);
+      } else {
+        summary.add(key, increment);
+        model.add(key, increment);
+      }
+      const double roll = rng.next_double();
+      if (roll < 0.004) {
+        summary.merge(other);
+        model.merge(other_model);
+      } else if (roll < 0.006) {
+        summary.clear();
+        model.clear();
+      } else if (roll < 0.008) {
+        other.clear();
+        other_model.clear();
+      }
+      expect_same(summary, model, capacity, key);
+      expect_same(summary, model, capacity, draw());
+      expect_same(other, other_model, capacity + 3, key);
+      if (HasFatalFailure()) return;
+    }
+  }
 }
 
 }  // namespace

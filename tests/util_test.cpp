@@ -2,8 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
+#include "util/flat_table.hpp"
 #include "util/histogram.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -295,6 +299,135 @@ TEST(HistogramTest, ValuesBelowFloorClampToFirstBucket) {
   hist.record(50.0);
   EXPECT_EQ(hist.count(), 2u);
   EXPECT_LE(hist.percentile(99), 100.0);
+}
+
+// ------------------------------------------------------------ flat table
+
+/// The table's entries in for_each (slot) order.
+std::vector<std::pair<std::uint64_t, std::uint64_t>> slot_order(
+    const FlatTable<std::uint64_t>& table) {
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> out;
+  table.for_each([&out](std::uint64_t key, std::uint64_t value) {
+    out.emplace_back(key, value);
+  });
+  return out;
+}
+
+TEST(FlatTableTest, MatchesUnorderedMapUnderRandomChurn) {
+  // Inserts, finds and erases over a key pool that holds both reserved-
+  // looking values (0 and all ones) and far more keys than the initial
+  // reserve, so the table grows several times and erases run across probe
+  // chains of every shape.
+  constexpr std::uint64_t kMax = ~std::uint64_t{0};
+  Rng rng(2024);
+  std::vector<std::uint64_t> pool = {0, 1, kMax, kMax - 1};
+  for (int i = 0; i < 1500; ++i) pool.push_back(rng.next());
+  for (int i = 0; i < 500; ++i) pool.push_back(static_cast<std::uint64_t>(i));
+
+  FlatTable<std::uint64_t> table;
+  table.reserve(64);
+  const std::size_t reserved = table.slot_count();
+  std::unordered_map<std::uint64_t, std::uint64_t> model;
+  for (int step = 0; step < 60'000; ++step) {
+    // Bias toward inserts early so the table outgrows its reserve, then
+    // toward erases so it drains through backward shifts.
+    const std::uint64_t key = pool[rng.next_below(pool.size())];
+    const double erase_share = step < 30'000 ? 0.25 : 0.6;
+    if (rng.chance(erase_share)) {
+      ASSERT_EQ(table.erase(key), model.erase(key) == 1) << key;
+    } else {
+      const std::uint64_t value = rng.next();
+      const auto [stored, inserted] = table.try_emplace(key, value);
+      const auto [it, model_inserted] = model.try_emplace(key, value);
+      ASSERT_EQ(inserted, model_inserted) << key;
+      ASSERT_EQ(*stored, it->second) << key;
+      if (rng.chance(0.3)) *stored = it->second = value + 1;  // in place
+    }
+    ASSERT_EQ(table.size(), model.size());
+    const std::uint64_t probe = pool[rng.next_below(pool.size())];
+    const std::uint64_t* found = table.find(probe);
+    const auto mit = model.find(probe);
+    ASSERT_EQ(found != nullptr, mit != model.end()) << probe;
+    if (found) {
+      ASSERT_EQ(*found, mit->second) << probe;
+    }
+    if (step % 1000 == 0) {
+      auto entries = slot_order(table);
+      ASSERT_EQ(entries.size(), model.size());
+      std::sort(entries.begin(), entries.end());
+      for (std::size_t i = 1; i < entries.size(); ++i) {
+        ASSERT_NE(entries[i - 1].first, entries[i].first);
+      }
+      for (const auto& [k, v] : entries) ASSERT_EQ(model.at(k), v);
+    }
+  }
+  EXPECT_GT(table.slot_count(), reserved);
+}
+
+TEST(FlatTableTest, BackwardShiftEraseAcrossTheWrapAround) {
+  FlatTable<std::uint64_t> table;
+  table.reserve(4);
+  ASSERT_EQ(table.slot_count(), 8u);
+  // Keys whose probe run starts at the last slot (Fibonacci hashing: the
+  // top three bits of key * 2^64/phi), and one that starts at slot 0.
+  const auto home = [](std::uint64_t key) {
+    return (key * 0x9E3779B97F4A7C15ull) >> 61;
+  };
+  std::vector<std::uint64_t> last;
+  std::uint64_t first = 0;
+  bool have_first = false;
+  for (std::uint64_t k = 1; last.size() < 3 || !have_first; ++k) {
+    if (home(k) == 7 && last.size() < 3) last.push_back(k);
+    if (home(k) == 0 && !have_first) {
+      first = k;
+      have_first = true;
+    }
+  }
+  const std::uint64_t k1 = last[0], k2 = last[1], k3 = last[2];
+  for (std::uint64_t k : {k1, k2, k3, first}) table.try_emplace(k, k * 10);
+  // k1 holds slot 7; k2, k3 wrapped to slots 0 and 1; `first` was pushed
+  // to slot 2.
+  using Entries = std::vector<std::pair<std::uint64_t, std::uint64_t>>;
+  ASSERT_EQ(slot_order(table),
+            (Entries{{k2, k2 * 10}, {k3, k3 * 10}, {first, first * 10},
+                     {k1, k1 * 10}}));
+  // Erasing k1 shifts every later entry back one slot, across the wrap.
+  ASSERT_TRUE(table.erase(k1));
+  EXPECT_EQ(slot_order(table),
+            (Entries{{k3, k3 * 10}, {first, first * 10}, {k2, k2 * 10}}));
+  EXPECT_EQ(table.find(k1), nullptr);
+  for (std::uint64_t k : {k2, k3, first}) {
+    ASSERT_NE(table.find(k), nullptr);
+    EXPECT_EQ(*table.find(k), k * 10);
+  }
+  // Erasing the wrapped k3 lets `first` move back to its home slot.
+  ASSERT_TRUE(table.erase(k3));
+  EXPECT_EQ(slot_order(table),
+            (Entries{{first, first * 10}, {k2, k2 * 10}}));
+  EXPECT_FALSE(table.erase(k3));
+  EXPECT_EQ(table.size(), 2u);
+}
+
+TEST(FlatTableTest, AllOnesKeyAndClearKeepCapacity) {
+  constexpr std::uint64_t kMax = ~std::uint64_t{0};
+  FlatTable<std::uint64_t> table;
+  EXPECT_EQ(table.find(kMax), nullptr);
+  EXPECT_EQ(table.find(0), nullptr);
+  EXPECT_FALSE(table.erase(0));
+  EXPECT_TRUE(table.try_emplace(kMax, 1).second);
+  EXPECT_FALSE(table.try_emplace(kMax, 2).second);
+  EXPECT_TRUE(table.try_emplace(0, 3).second);
+  ASSERT_NE(table.find(kMax), nullptr);
+  EXPECT_EQ(*table.find(kMax), 1u);
+  EXPECT_EQ(*table.find(0), 3u);
+  EXPECT_EQ(table.size(), 2u);
+  table.reserve(100);
+  const std::size_t slots = table.slot_count();
+  table.clear();
+  EXPECT_EQ(table.size(), 0u);
+  EXPECT_EQ(table.find(kMax), nullptr);
+  EXPECT_EQ(table.find(0), nullptr);
+  EXPECT_EQ(table.slot_count(), slots);
 }
 
 }  // namespace
