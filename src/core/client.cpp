@@ -61,7 +61,7 @@ void Client::send_pending() {
 void Client::arm_retry() {
   if (retry_timeout_ <= 0 || num_proxies_ < 2) return;
   const std::uint64_t req = pending_req_;
-  sim_.after(retry_timeout_, [this, req] {
+  retry_timer_ = sim_.after(retry_timeout_, [this, req] {
     QOPT_PROFILE_SCOPE(obs_, obs::ProfSubsystem::kClient);
     if (!op_in_flight_ || pending_req_ != req) return;
     // Unanswered: fail over to the next proxy and re-issue. A late reply to
@@ -110,6 +110,7 @@ void Client::handle_write_resp(const kv::ClientWriteResp& write) {
 
 void Client::complete_op(bool failed) {
   op_in_flight_ = false;
+  sim_.cancel(retry_timer_);  // answered: no failover
   if (failed) {
     // Reported-failed after the proxy's retry budget: not a completion, so
     // neither the latency metrics nor the checker see it; the closed loop

@@ -93,6 +93,7 @@ class Client {
   std::uint64_t pending_req_ = 0;
   workload::Operation pending_op_;
   Time issued_at_ = 0;
+  sim::EventHandle retry_timer_;  // failover timer of the pending request
   kv::Timestamp read_snapshot_;
   kv::Timestamp write_ts_pending_;  // filled on completion for the checker
 };

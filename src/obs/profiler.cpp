@@ -168,6 +168,8 @@ std::string ProfileReport::to_json() const {
   }
   out.append("],\"queue\":{\"schedules\":");
   out.append(std::to_string(schedules));
+  out.append(",\"cancelled\":");
+  out.append(std::to_string(cancelled));
   out.append(",\"requeues\":");
   out.append(std::to_string(requeues));
   out.append(",\"fifo_clamps\":");
@@ -223,9 +225,10 @@ std::string ProfileReport::render() const {
                 dwell_ns.p99);
   out.append(line);
   std::snprintf(line, sizeof(line),
-                "  churn        %llu schedules, %llu requeues, "
-                "%llu fifo clamps\n",
+                "  churn        %llu schedules, %llu cancelled, "
+                "%llu requeues, %llu fifo clamps\n",
                 static_cast<unsigned long long>(schedules),
+                static_cast<unsigned long long>(cancelled),
                 static_cast<unsigned long long>(requeues),
                 static_cast<unsigned long long>(fifo_clamps));
   out.append(line);
@@ -253,6 +256,7 @@ std::string ProfileReport::to_csv() const {
     csv_counter(out, "profile.msg." + row.name, row.count);
   }
   csv_counter(out, "profile.queue.schedules", schedules);
+  csv_counter(out, "profile.queue.cancelled", cancelled);
   csv_counter(out, "profile.queue.requeues", requeues);
   csv_counter(out, "profile.queue.fifo_clamps", fifo_clamps);
   csv_counter(out, "profile.queue.max_depth", max_depth);
@@ -269,7 +273,7 @@ void EngineProfiler::reset() noexcept {
   wall_pending_ = false;
   phases_.fill(Phase{});
   msg_counts_.fill(0);
-  schedules_ = requeues_ = fifo_clamps_ = max_depth_ = 0;
+  schedules_ = cancelled_ = requeues_ = fifo_clamps_ = max_depth_ = 0;
   depth_.reset();
   dwell_.reset();
   timeline_.clear();
@@ -324,6 +328,7 @@ ProfileReport EngineProfiler::report() const {
     r.messages.push_back(ProfileMessageRow{msg_names_[i], msg_counts_[i]});
   }
   r.schedules = schedules_;
+  r.cancelled = cancelled_;
   r.requeues = requeues_;
   r.fifo_clamps = fifo_clamps_;
   r.max_depth = max_depth_;

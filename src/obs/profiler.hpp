@@ -163,8 +163,10 @@ struct ProfileReport {
   std::uint64_t events_total = 0;
   std::vector<ProfilePhaseRow> subsystems;  // enum order; sums to total
   std::vector<ProfileMessageRow> messages;  // wire variant order
-  // Event-queue telemetry.
+  // Event-queue telemetry over live events: schedules = events_total +
+  // cancelled + events still pending (profiler on from the first schedule).
   std::uint64_t schedules = 0;
+  std::uint64_t cancelled = 0;     // dropped before running; not events
   std::uint64_t requeues = 0;      // schedule-chooser re-pushes (test-only)
   std::uint64_t fifo_clamps = 0;   // deliveries bumped by the FIFO clamp
   std::uint64_t max_depth = 0;
@@ -206,11 +208,12 @@ class EngineProfiler {
   // ---- hot hooks (call sites compiled out under QOPT_PROFILE=OFF)
 
   void note_schedule() noexcept { ++schedules_; }
+  void note_cancel() noexcept { ++cancelled_; }
   void note_requeue() noexcept { ++requeues_; }
   void note_fifo_clamp() noexcept { ++fifo_clamps_; }
 
   /// The event about to run: `now` is the (monotone) execution instant,
-  /// `enqueued_at` the instant at() staged it, `depth` the queue size left.
+  /// `enqueued_at` the instant at() staged it, `depth` the live events left.
   void begin_event(Time now, Time enqueued_at, std::size_t depth) noexcept {
     current_ = ProfSubsystem::kEngine;
     allocs_at_begin_ = detail::g_profile_allocs.load(std::memory_order_relaxed);
@@ -290,6 +293,7 @@ class EngineProfiler {
   std::array<Phase, kProfSubsystemCount> phases_{};
   std::array<std::uint64_t, kMaxMessageTypes> msg_counts_{};
   std::uint64_t schedules_ = 0;
+  std::uint64_t cancelled_ = 0;
   std::uint64_t requeues_ = 0;
   std::uint64_t fifo_clamps_ = 0;
   std::uint64_t max_depth_ = 0;

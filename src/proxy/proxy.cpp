@@ -107,9 +107,11 @@ void Proxy::crash() {
   crashed_ = true;
   ++incarnation_;  // invalidates already-scheduled CPU-queue completions
   net_.set_crashed(self_);
-  // End in-flight traces so the span store's live set stays bounded; their
-  // open spans are force-closed at the crash instant.
+  // The in-flight ops die with the crash, and their timers with them. End
+  // their traces so the span store's live set stays bounded; their open
+  // spans are force-closed at the crash instant.
   ops_.for_each([&](PendingOp& op) {
+    cancel_timers(op);
     if (op.trace_ctx.valid()) obs_->spans().end_trace(op.trace_ctx, sim_.now());
   });
   ops_.clear();
@@ -452,8 +454,8 @@ void Proxy::launch_op(std::uint64_t op_id) {
       obs_->spans().open_span(op.trace_ctx, obs::Phase::kQuorumWait,
                               "quorum_wait", node_name_, sim_.now());
   contact_replicas(op_id, op, op.needed);
-  arm_fallback(op_id);
-  arm_retransmit(op_id, 0);
+  op.fallback_timer = arm_fallback(op_id);
+  op.retransmit_timer = arm_retransmit(op_id, 0);
 }
 
 bool Proxy::quorum_met(const PendingOp& op) const {
@@ -511,15 +513,14 @@ void Proxy::send_request(std::uint64_t op_id, PendingOp& op,
   }
 }
 
-void Proxy::arm_fallback(std::uint64_t op_id) {
+sim::EventHandle Proxy::arm_fallback(std::uint64_t op_id) {
   // "If, after a timeout period, some replies are missing, the request is
   //  sent to the remaining replicas until the desired quorum is ensured"
   // (Section 2.1). Rare path, taken mainly under storage failures.
-  sim_.after(options_.fallback_timeout, [this, op_id] {
+  return sim_.after(options_.fallback_timeout, [this, op_id] {
     QOPT_PROFILE_SCOPE(obs_, obs::ProfSubsystem::kProxy);
-    if (crashed_) return;
     PendingOp* found = ops_.find(op_id);
-    if (found == nullptr) return;
+    assert(found != nullptr && !crashed_ && "cancelled with its op");
     PendingOp& op = *found;
     if (quorum_met(op)) return;
     if (op.contacted >= static_cast<int>(op.replica_order.size())) return;
@@ -529,25 +530,23 @@ void Proxy::arm_fallback(std::uint64_t op_id) {
   });
 }
 
-void Proxy::arm_retransmit(std::uint64_t op_id, int attempt) {
+sim::EventHandle Proxy::arm_retransmit(std::uint64_t op_id, int attempt) {
   // At-least-once RPC plane: after an exponentially backed-off, jittered
   // timeout the op re-sends to contacted-but-silent replicas (same op id;
   // storage dedups applied writes). Disabled by retry_budget = 0.
-  if (options_.retry_budget <= 0) return;
+  if (options_.retry_budget <= 0) return {};
   double delay = static_cast<double>(options_.retry_base);
   for (int k = 0; k < attempt; ++k) delay *= options_.retry_multiplier;
   delay *= 1.0 + options_.retry_jitter * (2.0 * rng_.next_double() - 1.0);
-  sim_.after(static_cast<Duration>(delay),
-             [this, op_id, attempt, inc = incarnation_] {
-               QOPT_PROFILE_SCOPE(obs_, obs::ProfSubsystem::kProxy);
-               if (crashed_ || inc != incarnation_) return;
-               fire_retransmit(op_id, attempt);
-             });
+  return sim_.after(static_cast<Duration>(delay), [this, op_id, attempt] {
+    QOPT_PROFILE_SCOPE(obs_, obs::ProfSubsystem::kProxy);
+    fire_retransmit(op_id, attempt);
+  });
 }
 
 void Proxy::fire_retransmit(std::uint64_t op_id, int attempt) {
   PendingOp* found = ops_.find(op_id);
-  if (found == nullptr) return;  // completed, failed, or NACK-retried
+  assert(found != nullptr && !crashed_ && "cancelled with its op");
   PendingOp& op = *found;
   if (quorum_met(op)) return;
   if (attempt >= options_.retry_budget) {
@@ -572,12 +571,19 @@ void Proxy::fire_retransmit(std::uint64_t op_id, int attempt) {
     if (op.replied.contains(replica)) continue;
     send_request(op_id, op, replica, /*open_span=*/false);
   }
-  arm_retransmit(op_id, attempt + 1);
+  op.retransmit_timer = arm_retransmit(op_id, attempt + 1);
+}
+
+void Proxy::cancel_timers(PendingOp& op) {
+  sim_.cancel(op.fallback_timer);
+  sim_.cancel(op.repair_fallback_timer);
+  sim_.cancel(op.retransmit_timer);
 }
 
 void Proxy::fail_op(std::uint64_t op_id) {
   const std::uint32_t slot = ops_.detach(op_id);
   PendingOp& op = ops_.record(slot);
+  cancel_timers(op);
   ins_.timeouts->inc();
   trace(obs::Category::kOp, "op_failed", op.oid);
   abort_op_spans(op, sim_.now());
@@ -723,7 +729,7 @@ void Proxy::maybe_complete_read(std::uint64_t op_id) {
                                   "read_repair", node_name_, sim_.now());
       if (op.received < op.needed) {
         contact_replicas(op_id, op, op.needed);
-        arm_fallback(op_id);
+        op.repair_fallback_timer = arm_fallback(op_id);
         return;
       }
       // Fallback already contacted enough replicas; complete below.
@@ -763,6 +769,7 @@ void Proxy::retry_op(std::uint64_t op_id) {
   // fences replies belonging to the aborted attempt.
   ins_.op_retries->inc();
   PendingOp& op = *ops_.find(op_id);
+  cancel_timers(op);  // launch_op arms the new attempt's own
   abort_op_spans(op, sim_.now());
   if (op.trace_ctx.valid()) {
     // Zero-duration marker: the NACK aborted the attempt here; launch_op
@@ -786,6 +793,7 @@ void Proxy::finish_op(std::uint64_t op_id, PendingOp& op) {
   // Unindexed first (late replies find nothing), recycled last: the record
   // stays intact while the completion below may issue a write-back.
   const std::uint32_t slot = ops_.detach(op_id);
+  cancel_timers(op);
 
   const bool is_read = op.kind == PendingOp::Kind::kRead;
   if (is_read) {
@@ -807,16 +815,18 @@ void Proxy::finish_op(std::uint64_t op_id, PendingOp& op) {
   }
 
   if (op.kind != PendingOp::Kind::kWriteBack) {
-    const std::uint64_t size =
-        is_read ? (op.any_found ? op.best.size_bytes : 0)
-                : op.write_version.size_bytes;
-    note_access(op.oid, !is_read, size);
     const Duration latency = sim_.now() - op.start_time;
+    if (round_open_) {
+      const std::uint64_t size =
+          is_read ? (op.any_found ? op.best.size_bytes : 0)
+                  : op.write_version.size_bytes;
+      note_access(op.oid, !is_read, size);
+      round_latency_sum_ms_ += to_millis(latency);
+    }
     auto* hist = is_read ? ins_.read_latency_ns : ins_.write_latency_ns;
     hist->record(static_cast<double>(latency));
     trace(obs::Category::kOp, is_read ? "read_finish" : "write_finish",
           op.oid, static_cast<std::uint64_t>(latency));
-    round_latency_sum_ms_ += to_millis(latency);
     report_completion(op, !is_read);
   }
 
@@ -1032,6 +1042,9 @@ void Proxy::note_access(ObjectId oid, bool is_write, std::uint64_t size) {
 
 void Proxy::handle_new_round(const sim::NodeId& from,
                              const kv::NewRoundMsg& msg) {
+  // Monitoring runs only while a round is open: everything note_access()
+  // gathers is reset here and read only by this round's send_round_stats().
+  round_open_ = true;
   current_round_ = msg.round;
   round_started_ = sim_.now();
   round_ops_completed_ = 0;
@@ -1042,7 +1055,9 @@ void Proxy::handle_new_round(const sim::NodeId& from,
   const std::uint64_t round = msg.round;
   sim_.after(msg.window, [this, from, round] {
     QOPT_PROFILE_SCOPE(obs_, obs::ProfSubsystem::kProxy);
-    if (crashed_ || current_round_ != round) return;
+    if (current_round_ != round) return;  // superseded by a newer round
+    round_open_ = false;
+    if (crashed_) return;
     send_round_stats(from, round);
   });
 }

@@ -17,9 +17,10 @@
 //    only after draining operations issued under the old quorum;
 //  * storage NACKs (stale epoch) resynchronize the proxy's full quorum state
 //    and re-execute the operation in the new epoch;
-//  * every client operation feeds a Space-Saving top-k summary, per-object
-//    profiles for the currently monitored hotspot set, and the aggregate
-//    tail profile reported to the Autonomic Manager each round.
+//  * while an Autonomic Manager round is open (NEWROUND until its stats
+//    window closes), every client operation feeds a Space-Saving top-k
+//    summary, per-object profiles for the currently monitored hotspot set,
+//    and the aggregate tail profile reported to the AM for that round.
 #pragma once
 
 #include <algorithm>
@@ -252,6 +253,13 @@ class Proxy {
           [](const auto& entry, std::uint32_t r) { return entry.first < r; });
       if (it != rpc_spans.end() && it->first == replica) rpc_spans.erase(it);
     }
+    // Timers armed for this op: the fallback of each wait phase (a repair
+    // phase arms its own while the first may still be pending) and the
+    // next retransmit round. All are cancelled when the op leaves ops_, so
+    // a timer that fires always finds its op in flight.
+    sim::EventHandle fallback_timer;
+    sim::EventHandle repair_fallback_timer;
+    sim::EventHandle retransmit_timer;
     Time wait_start = 0;      // current wait phase began here
     Time prev_reply_at = 0;   // second-to-last counted reply
     Time last_reply_at = 0;   // last counted reply
@@ -320,9 +328,11 @@ class Proxy {
   void contact_replicas(std::uint64_t op_id, PendingOp& op, int upto);
   void send_request(std::uint64_t op_id, PendingOp& op, std::uint32_t replica,
                     bool open_span);
-  void arm_fallback(std::uint64_t op_id);
-  void arm_retransmit(std::uint64_t op_id, int attempt);
+  sim::EventHandle arm_fallback(std::uint64_t op_id);
+  sim::EventHandle arm_retransmit(std::uint64_t op_id, int attempt);
   void fire_retransmit(std::uint64_t op_id, int attempt);
+  /// Cancels the op's pending timers; called wherever it leaves ops_.
+  void cancel_timers(PendingOp& op);
   void fail_op(std::uint64_t op_id);
   void finish_op(std::uint64_t op_id, PendingOp& op);
   /// Hands a completed op to on_complete_ through the reused completed_
@@ -436,6 +446,9 @@ class Proxy {
   double round_latency_sum_ms_ = 0;
   Time round_started_ = 0;
   std::uint64_t current_round_ = 0;
+  // From NEWROUND until that round's stats timer fires. Outside it no
+  // monitoring state is gathered: the next NEWROUND would discard it.
+  bool round_open_ = false;
 
   // Heartbeat emission. The generation counter kills a stale beat loop
   // whose timer straddled a crash/restart cycle (restart starts a fresh

@@ -5,13 +5,19 @@
 
 #include <filesystem>
 
+#include "core/client.hpp"
 #include "core/cluster.hpp"
 #include "core/consistency.hpp"
 #include "core/experiment.hpp"
 #include "core/metrics.hpp"
 #include "kv/replicator.hpp"
 #include "kv/types.hpp"
+#include "kv/wire.hpp"
 #include "ml/dataset.hpp"
+#include "sim/ids.hpp"
+#include "sim/network.hpp"
+#include "sim/simulator.hpp"
+#include "util/rng.hpp"
 #include "workload/workload.hpp"
 
 namespace qopt {
@@ -304,6 +310,44 @@ TEST(ClientFailoverTest, DisabledByDefaultClientsStall) {
   EXPECT_EQ(cluster.client(0).ops_completed(), stalled);
   // Other proxy's clients unaffected.
   EXPECT_GT(cluster.client(2).ops_completed(), 0u);
+}
+
+TEST(ClientFailoverTest, ReplyCancelsTheFailoverTimer) {
+  sim::Simulator sim;
+  sim::Network<kv::Message> net(sim, sim::LatencyModel{microseconds(100), 0},
+                                Rng(1));
+  Client client(sim, net, sim::client_id(0), sim::proxy_id(0), Rng(2),
+                nullptr, nullptr, /*think_time=*/0, /*num_proxies=*/2,
+                /*retry_timeout=*/seconds(1));
+  client.set_source(workload::ycsb_b(10));
+  int requests = 0;
+  // A proxy that answers at once; the client stops after its first op.
+  net.register_node(sim::proxy_id(0),
+                    [&](const sim::NodeId& from, const kv::Message& m) {
+                      ++requests;
+                      client.stop();
+                      if (const auto* read = std::get_if<kv::ClientReadReq>(&m)) {
+                        kv::ClientReadResp resp;
+                        resp.req_id = read->req_id;
+                        net.send(sim::proxy_id(0), from, resp);
+                      } else {
+                        kv::ClientWriteResp resp;
+                        resp.req_id = std::get<kv::ClientWriteReq>(m).req_id;
+                        net.send(sim::proxy_id(0), from, resp);
+                      }
+                    });
+  net.register_node(sim::client_id(0),
+                    [&](const sim::NodeId& from, const kv::Message& m) {
+                      client.on_message(from, m);
+                    });
+  client.start();
+  sim.run();
+  EXPECT_EQ(requests, 1);
+  EXPECT_EQ(client.ops_completed(), 1u);
+  EXPECT_EQ(client.retries(), 0u);
+  // The failover timer went with the reply: nothing waits for the 1 s mark.
+  EXPECT_TRUE(sim.empty());
+  EXPECT_LT(sim.now(), seconds(1));
 }
 
 TEST(ClientFailoverTest, NoSpuriousRetriesWhenHealthy) {

@@ -227,6 +227,21 @@ TEST(ProfilerAttributionTest, MessageCountsSumToDeliveredTotal) {
   EXPECT_GT(prof.dwell_ns.count, 0u);
 }
 
+TEST(ProfilerAttributionTest, SchedulesAreEventsPlusCancelledPlusPending) {
+  if (!obs::EngineProfiler::compiled_on()) GTEST_SKIP();
+  Cluster cluster(small_config(true));
+  cluster.preload(512, 1024);
+  cluster.set_workload(workload::ycsb_a(512));
+  cluster.run_for(seconds(10));
+
+  const obs::ProfileReport prof = cluster.obs().profiler().report();
+  // Finished ops cancel their fallback and retransmit timers; those are not
+  // events and leave the queue at once.
+  EXPECT_GT(prof.cancelled, 0u);
+  EXPECT_EQ(prof.schedules, prof.events_total + prof.cancelled +
+                                cluster.simulator().pending());
+}
+
 // ------------------------------------------------------------ byte identity
 
 std::string run_report_json(bool profile) {

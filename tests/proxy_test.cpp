@@ -42,7 +42,7 @@ struct ProxyHarness : ::testing::Test {
 
   void SetUp() override { build({1, 5}); }
 
-  void build(QuorumConfig initial) {
+  void build(QuorumConfig initial, ProxyOptions options = {}) {
     client_inbox.clear();
     rm_inbox.clear();
     storage.clear();
@@ -60,7 +60,6 @@ struct ProxyHarness : ::testing::Test {
                           raw->on_message(from, m);
                         });
     }
-    ProxyOptions options;
     options.initial = initial;
     proxy = std::make_unique<Proxy>(sim, net, sim::proxy_id(0), placement,
                                     options, &telemetry);
@@ -352,6 +351,123 @@ TEST_F(ProxyHarness, CrashedProxyStopsResponding) {
   client_read(7, 1);
   sim.run();
   EXPECT_TRUE(client_inbox.empty());
+}
+
+// ------------------------------------------------------- timer lifecycle
+//
+// A proxy op arms a fallback (150 ms) and a retransmit (~250 ms) timer.
+// Whichever way the op leaves the table, both go with it: the runs below
+// drain well before either delay, which they could not if a timer stayed
+// queued.
+
+TEST_F(ProxyHarness, CompletedOpsLeaveNoTimerQueued) {
+  client_write(7, 1, 99);
+  client_read(7, 2);
+  sim.run();
+  ASSERT_EQ(client_inbox.size(), 2u);
+  EXPECT_EQ(proxy->pending_ops(), 0u);
+  EXPECT_TRUE(sim.empty());
+  EXPECT_LT(sim.now(), milliseconds(150));
+}
+
+TEST_F(ProxyHarness, OpFailedOnItsRetryBudgetLeavesNoTimerQueued) {
+  ProxyOptions options;
+  options.retry_budget = 1;
+  options.retry_base = milliseconds(10);
+  options.retry_jitter = 0;
+  build({1, 5}, options);
+  for (auto& node : storage) node->crash();
+  client_read(7, 1);
+  sim.run();
+  ASSERT_EQ(client_inbox.size(), 1u);
+  EXPECT_TRUE(std::get<kv::ClientReadResp>(client_inbox[0]).failed);
+  EXPECT_EQ(proxy_metric("timeouts"), 1u);
+  EXPECT_TRUE(sim.empty());
+  EXPECT_LT(sim.now(), milliseconds(150));  // the fallback never fired
+}
+
+TEST_F(ProxyHarness, NackRetriedOpLeavesNoTimerOfTheAbortedAttempt) {
+  kv::FullConfig config;
+  config.epno = 1;
+  config.cfno = 1;
+  config.default_q = QuorumConfig::of(4, 2);
+  config.read_q_history = {{0, 1}, {1, 4}};
+  for (std::uint32_t i = 0; i < kStorage; ++i) {
+    net.send(sim::rm_id(), sim::storage_id(i), kv::NewEpochMsg{config, {}});
+  }
+  sim.run();
+  client_write(7, 1, 99);
+  sim.run();
+  ASSERT_EQ(client_inbox.size(), 1u);
+  EXPECT_EQ(proxy_metric("op_retries"), 1u);
+  EXPECT_TRUE(sim.empty());
+  EXPECT_LT(sim.now(), milliseconds(150));
+}
+
+TEST_F(ProxyHarness, CrashedProxyLeavesNoTimerQueued) {
+  for (auto& node : storage) node->crash();
+  client_read(7, 1);
+  client_write(8, 2, 99);
+  sim.run(milliseconds(5));
+  ASSERT_EQ(proxy->pending_ops(), 2u);
+  proxy->crash();
+  EXPECT_EQ(proxy->pending_ops(), 0u);
+  sim.run();
+  EXPECT_TRUE(client_inbox.empty());
+  EXPECT_TRUE(sim.empty());
+  EXPECT_LT(sim.now(), milliseconds(150));
+}
+
+TEST_F(ProxyHarness, OpsBeforeTheFirstRoundLeaveItsStatsUnchanged) {
+  // Monitoring only runs inside an AM round; ops served before the first
+  // NEWROUND must not show in its ROUNDSTATS.
+  const auto round_stats = [this](int ops_before) {
+    build({1, 5});
+    std::vector<Message> am_inbox;
+    net.register_node(sim::am_id(),
+                      [&am_inbox](const sim::NodeId&, const Message& m) {
+                        am_inbox.push_back(m);
+                      });
+    for (int i = 0; i < ops_before; ++i) {
+      const auto oid = static_cast<kv::ObjectId>(100 + i % 7);
+      client_write(oid, 10 + 2 * static_cast<std::uint64_t>(i), 5, 512);
+      client_read(oid, 11 + 2 * static_cast<std::uint64_t>(i));
+      sim.run();
+    }
+    net.send(sim::am_id(), sim::proxy_id(0), kv::NewTopKMsg{0, {7}});
+    sim.run();
+    net.send(sim::am_id(), sim::proxy_id(0),
+             kv::NewRoundMsg{1, milliseconds(100)});
+    sim.run(sim.now() + milliseconds(10));
+    client_write(7, 1, 99, 2048);
+    client_read(7, 2);
+    client_read(8, 3);
+    client_write(9, 4, 98, 4096);
+    sim.run();
+    EXPECT_EQ(am_inbox.size(), 1u);
+    return std::get<kv::RoundStatsMsg>(am_inbox.at(0));
+  };
+  const kv::RoundStatsMsg served = round_stats(40);
+  const kv::RoundStatsMsg fresh = round_stats(0);
+  ASSERT_EQ(served.topk.size(), fresh.topk.size());
+  for (std::size_t i = 0; i < fresh.topk.size(); ++i) {
+    EXPECT_EQ(served.topk[i].oid, fresh.topk[i].oid);
+    EXPECT_EQ(served.topk[i].count, fresh.topk[i].count);
+    EXPECT_EQ(served.topk[i].error, fresh.topk[i].error);
+  }
+  ASSERT_EQ(served.stats_topk.size(), 1u);
+  ASSERT_EQ(fresh.stats_topk.size(), 1u);
+  EXPECT_EQ(served.stats_topk[0].reads, fresh.stats_topk[0].reads);
+  EXPECT_EQ(served.stats_topk[0].writes, fresh.stats_topk[0].writes);
+  EXPECT_EQ(served.stats_topk[0].avg_size_bytes,
+            fresh.stats_topk[0].avg_size_bytes);
+  EXPECT_EQ(served.stats_tail.reads, fresh.stats_tail.reads);
+  EXPECT_EQ(served.stats_tail.writes, fresh.stats_tail.writes);
+  EXPECT_EQ(served.stats_tail.avg_size_bytes,
+            fresh.stats_tail.avg_size_bytes);
+  EXPECT_EQ(served.throughput_ops, fresh.throughput_ops);
+  EXPECT_EQ(served.avg_latency_ms, fresh.avg_latency_ms);
+  EXPECT_EQ(fresh.stats_tail.reads + fresh.stats_tail.writes, 4u);
 }
 
 TEST_F(ProxyHarness, MonitoringRoundReportsStats) {

@@ -2,7 +2,10 @@
 
 #include <array>
 #include <cstdint>
+#include <memory>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "obs/obs.hpp"
@@ -162,6 +165,175 @@ TEST(SimulatorTest, LargeCapturesSpillAndStillRun) {
   sim.at(1, std::move(read_big));
   sim.run();
   EXPECT_EQ(seen, 42u);
+}
+
+// ----------------------------------------------------------- cancellation
+
+TEST(SimulatorCancelTest, CancelledEventNeverRunsAndDropsItsCaptureAtOnce) {
+  Simulator sim;
+  auto token = std::make_shared<int>(7);
+  bool ran = false;
+  const EventHandle h = sim.at(10, [&ran, token] { ran = *token == 7; });
+  EXPECT_EQ(token.use_count(), 2);
+  EXPECT_TRUE(sim.cancel(h));
+  EXPECT_EQ(token.use_count(), 1);  // destroyed at cancel, not at pop
+  EXPECT_EQ(sim.run(), 0u);
+  EXPECT_FALSE(ran);
+  EXPECT_EQ(sim.events_processed(), 0u);
+}
+
+TEST(SimulatorCancelTest, CancelAfterRunOrTwiceOrWhileRunningIsANoOp) {
+  Simulator sim;
+  int fired = 0;
+  const EventHandle ran = sim.at(1, [&] { ++fired; });
+  EventHandle self;
+  self = sim.at(2, [&] {
+    EXPECT_FALSE(sim.cancel(self));  // its own, already running
+    ++fired;
+  });
+  const EventHandle twice = sim.at(3, [&] { ++fired; });
+  ASSERT_TRUE(sim.step());
+  EXPECT_FALSE(sim.cancel(ran));
+  EXPECT_TRUE(sim.cancel(twice));
+  EXPECT_FALSE(sim.cancel(twice));
+  EXPECT_FALSE(sim.cancel(EventHandle{}));
+  sim.run();
+  EXPECT_EQ(fired, 2);
+}
+
+TEST(SimulatorCancelTest, StaleHandleDoesNotCancelTheSlotsNextEvent) {
+  Simulator sim;
+  std::vector<int> order;
+  const EventHandle cancelled = sim.at(5, [&] { order.push_back(0); });
+  ASSERT_TRUE(sim.cancel(cancelled));
+  // The slot freed by the cancel is handed out again first (LIFO).
+  sim.at(5, [&] { order.push_back(1); });
+  EXPECT_FALSE(sim.cancel(cancelled));
+  const EventHandle ran = sim.at(6, [&] { order.push_back(2); });
+  ASSERT_TRUE(sim.step());
+  ASSERT_TRUE(sim.step());  // frees `ran`'s slot...
+  sim.at(7, [&] { order.push_back(3); });  // ...which this one takes
+  EXPECT_FALSE(sim.cancel(ran));
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+}
+
+TEST(SimulatorCancelTest, RunUntilSkipsDeadFrontKeysWithoutOverrunning) {
+  Simulator sim;
+  int fired = 0;
+  std::vector<EventHandle> dead;
+  // Enough live events that the cancels below stay under the rebuild
+  // threshold: the dead keys really sit at the front of the heap.
+  for (int i = 0; i < 4; ++i) dead.push_back(sim.at(10 + i, [&] { ++fired; }));
+  for (int i = 0; i < 6; ++i) sim.at(100 + i, [&] { ++fired; });
+  for (const EventHandle& h : dead) ASSERT_TRUE(sim.cancel(h));
+  EXPECT_EQ(sim.pending(), 6u);
+  EXPECT_EQ(sim.run(50), 0u);  // nothing live before the horizon
+  EXPECT_EQ(fired, 0);
+  EXPECT_EQ(sim.now(), 50);
+  EXPECT_EQ(sim.run(102), 3u);
+  EXPECT_EQ(sim.now(), 102);
+  EXPECT_EQ(sim.run(), 3u);
+  EXPECT_EQ(fired, 6);
+  EXPECT_EQ(sim.events_processed(), 6u);
+}
+
+TEST(SimulatorCancelTest, ChooserNeverStagesACancelledEvent) {
+  Simulator sim;
+  std::vector<int> order;
+  std::vector<EventHandle> handles;
+  for (int i = 0; i < 8; ++i) {
+    handles.push_back(sim.at(5, [&order, i] { order.push_back(i); }));
+  }
+  // Dead keys both at the front and behind a live one.
+  ASSERT_TRUE(sim.cancel(handles[0]));
+  ASSERT_TRUE(sim.cancel(handles[3]));
+  std::vector<std::size_t> staged;
+  // Always run the last staged candidate.
+  sim.set_schedule_chooser(
+      [&staged](std::size_t n) {
+        staged.push_back(n);
+        return n - 1;
+      },
+      3);
+  ASSERT_TRUE(sim.step());  // candidates 1, 2, 4
+  EXPECT_EQ(order, (std::vector<int>{4}));
+  ASSERT_TRUE(sim.cancel(handles[5]));
+  ASSERT_TRUE(sim.step());  // candidates 1, 2, 6
+  sim.clear_schedule_chooser();
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{4, 6, 1, 2, 7}));
+  EXPECT_EQ(staged, (std::vector<std::size_t>{3, 3}));
+}
+
+TEST(SimulatorCancelTest, PendingAndEmptyCountLiveEventsOnly) {
+  Simulator sim;
+  std::vector<EventHandle> handles;
+  for (int i = 0; i < 3; ++i) handles.push_back(sim.at(10 * (i + 1), [] {}));
+  EXPECT_EQ(sim.pending(), 3u);
+  ASSERT_TRUE(sim.cancel(handles[1]));
+  EXPECT_EQ(sim.pending(), 2u);
+  EXPECT_FALSE(sim.empty());
+  ASSERT_TRUE(sim.cancel(handles[0]));
+  ASSERT_TRUE(sim.cancel(handles[2]));
+  EXPECT_EQ(sim.pending(), 0u);
+  EXPECT_TRUE(sim.empty());
+  EXPECT_FALSE(sim.step());
+  EXPECT_EQ(sim.run(), 0u);
+  EXPECT_EQ(sim.now(), 0);
+}
+
+TEST(SimulatorCancelTest, MatchesAnOrderedSetOverRandomInterleavings) {
+  // Differential test: the simulator under random schedule / cancel / step
+  // sequences against a std::set of (time, seq). Times come from a narrow
+  // range so same-instant ties are common; bursts of cancels push the dead
+  // share past one half and force heap rebuilds.
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    Rng rng(seed);
+    Simulator sim;
+    std::set<std::pair<Time, std::uint64_t>> model;  // (time, id)
+    std::vector<std::pair<EventHandle, std::pair<Time, std::uint64_t>>> all;
+    std::vector<std::uint64_t> ran;
+    std::vector<std::uint64_t> expected;
+    std::uint64_t next_id = 0;
+    for (int op = 0; op < 4000; ++op) {
+      const std::uint64_t dice = rng.next_below(100);
+      if (dice < 45) {
+        const std::uint64_t id = next_id++;
+        const Time t = sim.now() + static_cast<Time>(rng.next_below(8));
+        const EventHandle h = sim.at(t, [&ran, id] { ran.push_back(id); });
+        model.emplace(t, id);
+        all.push_back({h, {t, id}});
+      } else if (dice < 70 && !all.empty()) {
+        // Any handle ever issued: live, ran, cancelled, or slot reused.
+        const auto& [h, key] = all[rng.next_below(all.size())];
+        EXPECT_EQ(sim.cancel(h), model.erase(key) == 1);
+      } else if (dice < 73) {
+        // Burst: cancel most live events at once.
+        for (const auto& [h, key] : all) {
+          if (rng.next_below(4) != 0 && model.erase(key) == 1) {
+            EXPECT_TRUE(sim.cancel(h));
+          }
+        }
+      } else {
+        const bool stepped = sim.step();
+        EXPECT_EQ(stepped, !model.empty());
+        if (stepped) {
+          expected.push_back(model.begin()->second);
+          EXPECT_EQ(sim.now(), model.begin()->first);
+          model.erase(model.begin());
+        }
+      }
+      ASSERT_EQ(sim.pending(), model.size()) << "seed " << seed;
+      ASSERT_EQ(sim.empty(), model.empty());
+    }
+    while (!model.empty()) {
+      expected.push_back(model.begin()->second);
+      model.erase(model.begin());
+    }
+    sim.run();
+    EXPECT_EQ(ran, expected) << "seed " << seed;
+  }
 }
 
 // ---------------------------------------------------------------- node ids
