@@ -3,9 +3,19 @@
 #include "util/time.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <utility>
 
 namespace qopt::sim {
+
+namespace {
+
+/// One step of the schedule fingerprint (FxHash's rotate-xor-multiply).
+std::uint64_t mix(std::uint64_t h, std::uint64_t v) noexcept {
+  return (std::rotl(h, 5) ^ v) * 0x517cc1b727220a95ull;
+}
+
+}  // namespace
 
 EventHandle Simulator::at(Time t, Task fn) {
   if (t < now_) t = now_;
@@ -159,6 +169,8 @@ bool Simulator::step() {
   // event's time (delivery was delayed; the clock never rewinds).
   if (key.time > now_) now_ = key.time;
   ++processed_;
+  fingerprint_ = mix(mix(fingerprint_, static_cast<std::uint64_t>(now_)),
+                     key.seq);
   // From here on the event is running: cancelling it (from its own body,
   // say) is a no-op.
   live_seq_[key.slot] = EventHandle::kNone;

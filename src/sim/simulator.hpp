@@ -69,6 +69,12 @@ class Simulator {
   std::size_t pending() const noexcept { return heap_.size() - dead_; }
   std::uint64_t events_processed() const noexcept { return processed_; }
 
+  /// Running 64-bit mix of every processed event's (run instant, seq), in
+  /// processing order; 0 before the first event. Two runs with equal
+  /// fingerprints ran the same schedule, so an engine change can prove it
+  /// left the schedule alone.
+  std::uint64_t schedule_fingerprint() const noexcept { return fingerprint_; }
+
   /// Attaches the engine self-profiler (owned by the obs bundle; Cluster
   /// wires it). Null detaches. Every hook call compiles away under
   /// QOPT_PROFILE=OFF, and a bound-but-disabled profiler costs one branch
@@ -148,6 +154,7 @@ class Simulator {
   Time now_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t processed_ = 0;
+  std::uint64_t fingerprint_ = 0;
   std::size_t dead_ = 0;  // cancelled keys still in heap_
   bool stopped_ = false;
   // qopt-perf: allow(heap-alloc-hot) null on production runs; step() sees a bool test

@@ -58,6 +58,7 @@ struct RunOutcome {
   bool client_stuck = false;
   bool replicas_converged = false;
   std::uint64_t fingerprint = 0;  // FNV-1a over the decision trace + outcome
+  std::uint64_t schedule = 0;     // the simulator's schedule fingerprint
 };
 
 void fnv_mix(std::uint64_t& h, std::uint64_t v) {
@@ -123,6 +124,7 @@ RunOutcome run_schedule(const std::vector<std::size_t>& prefix) {
   cluster.stop_clients();
   cluster.run_for(seconds(1));
 
+  out.schedule = cluster.simulator().schedule_fingerprint();
   out.violations = cluster.checker().violations().size();
   for (std::uint32_t c = 0; c < cluster.num_clients(); ++c) {
     if (cluster.client(c).op_in_flight()) out.client_stuck = true;
@@ -246,6 +248,16 @@ TEST(InterleaveGateTest, NullChoiceMatchesCanonicalOrder) {
   EXPECT_EQ(a.fingerprint, b.fingerprint);
   EXPECT_EQ(a.ops_completed, b.ops_completed);
   EXPECT_EQ(a.violations, 0u);
+}
+
+// One perturbed schedule's full event order, pinned as the simulator's
+// (time, seq) fingerprint: the exploration above depends on the engine
+// staging, re-queuing and running events exactly as it did when the value
+// was taken.
+TEST(InterleaveGateTest, PerturbedScheduleFingerprintIsPinned) {
+  const RunOutcome out = run_schedule({1, 0, 1, 1});
+  EXPECT_EQ(out.violations, 0u);
+  EXPECT_EQ(out.schedule, 0xa7f118ba3c76c147ull);
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 // event schedule, RNG draws, and wire traffic untouched.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -26,7 +27,9 @@ std::string read_file(const std::string& path) {
   return out.str();
 }
 
-std::string run_replay_scenario() {
+// Runs the scenario; `fingerprint` receives the engine's schedule
+// fingerprint at the end of it.
+std::string run_replay_scenario(std::uint64_t* fingerprint = nullptr) {
   ClusterConfig config;
   config.num_storage = 10;
   config.num_proxies = 2;
@@ -47,6 +50,9 @@ std::string run_replay_scenario() {
   cluster.run_for(seconds(2));
   cluster.stop_clients();
   cluster.run_for(seconds(1));
+  if (fingerprint != nullptr) {
+    *fingerprint = cluster.simulator().schedule_fingerprint();
+  }
   return cluster.report().to_json();
 }
 
@@ -59,6 +65,15 @@ TEST(ReplayGateTest, MajorityStrategyReplaysPreRedesignBaseline) {
   ASSERT_EQ(baseline.size(), now.size())
       << "replay diverged from the pre-redesign baseline";
   EXPECT_EQ(baseline, now);
+}
+
+// The same scenario's event schedule, pinned as the simulator's running
+// (time, seq) fingerprint: an engine change that keeps this value ran every
+// event at the same instant in the same order, whatever the report shows.
+TEST(ReplayGateTest, ScheduleFingerprintIsPinned) {
+  std::uint64_t fingerprint = 0;
+  run_replay_scenario(&fingerprint);
+  EXPECT_EQ(fingerprint, 0x996f9777af7f726dull);
 }
 
 }  // namespace
