@@ -1,19 +1,36 @@
 // Deterministic discrete-event simulation kernel.
 //
-// A single virtual clock and a 4-ary min-heap of (time, seq, slot) keys.
+// A single virtual clock and a calendar queue of (time, seq, slot) keys.
 // Events scheduled for the same instant are processed in scheduling order
 // (a monotone sequence number breaks ties), which makes every run
 // bit-for-bit reproducible from its seed. The callables themselves sit in a
-// slot slab (stable, recycled storage) as small-buffer Tasks, so a heap
-// sift moves 24-byte keys only and scheduling a typical closure allocates
+// slot slab (stable, recycled storage) as small-buffer Tasks, so the queue
+// moves 16-byte keys only and scheduling a typical closure allocates
 // nothing.
 //
+// The queue (Brown's calendar queue, CACM 31(10), 1988) has three tiers,
+// each holding keys later than the one before it:
+//   * the open bucket: a sorted array of the keys due in the current
+//     bucket, or earlier (an event scheduled behind the ring's position,
+//     say after run(until) stopped short of it, is inserted in order);
+//   * the ring: kRingSize buckets of 2^kBucketShift ns each, indexed by
+//     `time >> kBucketShift`, each an unsorted list of pooled nodes, with
+//     an occupancy bitmap; a bucket is sorted once, when the ring advances
+//     onto it and it becomes the open bucket;
+//   * the far heap: a 4-ary min-heap of keys beyond the ring's horizon,
+//     which migrate into the ring as it advances.
+// Scheduling delays cluster below the horizon (network hops, storage
+// service, op timers), so push and pop are O(1) for almost every event and
+// the far heap stays small. Pops follow the exact (time, seq) order a
+// single heap would give.
+//
 // Events can be cancelled before they run (cancel()). A cancelled event's
-// callable is destroyed and its slot recycled at once; its key stays in the
-// heap, dead, until it reaches the top or a rebuild sweeps it out. Live
-// events keep their (time, seq), so cancelling never reorders the rest.
+// callable is destroyed and its slot recycled at once; its key stays
+// queued, dead, until it is reached or a sweep drops it. Live events keep
+// their (time, seq), so cancelling never reorders the rest.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <limits>
@@ -38,6 +55,16 @@ struct EventHandle {
 class Simulator {
  public:
   static constexpr Time kForever = std::numeric_limits<Time>::max();
+
+  /// Calendar geometry, from the scheduling delays measured on the
+  /// benchmark workloads: ~7% fall under 66 us (proxy CPU), ~56% in
+  /// 262 us - 1 ms (network hops), most of the rest within 134 ms (storage
+  /// queueing), 11-14% at 134-268 ms (op fallback and retransmit timers)
+  /// and at most 8.5% beyond. Buckets of 32.8 us hold a few dozen keys
+  /// each, and the ring reaches 268 ms past the open bucket, so op timers
+  /// stay out of the far heap. Fixed: the pop order never depends on them.
+  static constexpr unsigned kBucketShift = 15;
+  static constexpr std::uint64_t kRingSize = std::uint64_t{1} << 13;
 
   Time now() const noexcept { return now_; }
 
@@ -65,8 +92,8 @@ class Simulator {
   void stop() noexcept { stopped_ = true; }
 
   /// Live events only: cancelled ones are gone even while their keys wait.
-  bool empty() const noexcept { return heap_.size() == dead_; }
-  std::size_t pending() const noexcept { return heap_.size() - dead_; }
+  bool empty() const noexcept { return size_ == dead_; }
+  std::size_t pending() const noexcept { return size_ - dead_; }
   std::uint64_t events_processed() const noexcept { return processed_; }
 
   /// Running 64-bit mix of every processed event's (run instant, seq), in
@@ -92,7 +119,7 @@ class Simulator {
   // Hook for exhaustive small-scope interleaving exploration (see
   // tests/interleave_gate_test.cpp). When installed, each step() stages the
   // up-to-`window` earliest pending events and asks the chooser which one
-  // runs next; the others' keys go back on the heap with their original
+  // runs next; the others' keys go back in the queue with their original
   // time and sequence number, so clearing the chooser restores the
   // deterministic (time, seq) order exactly. Cancelled events are never
   // staged. The virtual clock never moves
@@ -111,42 +138,105 @@ class Simulator {
   }
 
  private:
-  /// Heap entry: the event's place in the (time, seq) order and the slab
-  /// slot holding its callable.
+  // Unsigned 128-bit integer: a key's place in the (time, seq) order.
+  __extension__ typedef unsigned __int128 Order;
+
+  /// Queue entry, 16 bytes: the event's virtual time and `seq << kSlotBits
+  /// | slot`, its tag. Seqs are unique, so (time, tag) as one 128-bit
+  /// number sorts exactly as (time, seq).
   struct Key {
-    Time time;
-    std::uint64_t seq;
-    std::uint32_t slot;
+    std::uint64_t time;
+    std::uint64_t tag;
+    std::uint32_t slot() const noexcept {
+      return static_cast<std::uint32_t>(tag & kSlotMask);
+    }
+    std::uint64_t seq() const noexcept { return tag >> kSlotBits; }
+    Order order() const noexcept {
+      return (static_cast<Order>(time) << 64) | tag;
+    }
   };
+  static constexpr unsigned kSlotBits = 24;
+  static constexpr std::uint64_t kSlotMask = (1u << kSlotBits) - 1;
+  static constexpr std::uint64_t kSeqLimit = std::uint64_t{1} << 40;
   static bool earlier(const Key& a, const Key& b) noexcept {
-    if (a.time != b.time) return a.time < b.time;
-    return a.seq < b.seq;
+    return a.order() < b.order();
   }
-  /// Children per heap node: a 4-ary heap halves the depth of a binary one
-  /// and a node's children share about a cache line and a half.
+  static std::uint64_t tag_of(std::uint64_t seq, std::uint32_t slot) noexcept {
+    return (seq << kSlotBits) | slot;
+  }
+
+  static constexpr std::uint64_t kRingMask = kRingSize - 1;
+  static constexpr std::uint32_t kNil = ~std::uint32_t{0};
+  /// Children per far-heap node: a 4-ary heap halves the depth of a binary
+  /// one and a node's children share one cache line.
   static constexpr std::size_t kArity = 4;
 
+  /// A ring bucket's list cell, pooled in nodes_.
+  struct Node {
+    Key key;
+    std::uint32_t next;
+  };
+
+  static std::uint64_t bucket_of(std::uint64_t time) noexcept {
+    return time >> kBucketShift;
+  }
   bool live(const Key& key) const noexcept {
-    return live_seq_[key.slot] == key.seq;
+    return live_tag_[key.slot()] == key.tag;
   }
 
+  /// Queues `key` in the tier its bucket belongs to.
   void push_key(const Key& key);
-  /// Removes and returns the (time, seq)-least key.
-  Key pop_key();
+  void push_open(const Key& key);
+  void push_ring(std::uint64_t bucket, const Key& key);
+  void push_far(const Key& key);
+  /// Appends to the open bucket without ordering it (the caller sorts).
+  void append_open(const Key& key);
+  std::uint32_t acquire_node();
+  void release_node(std::uint32_t n) noexcept {
+    nodes_[n].next = free_node_;
+    free_node_ = n;
+  }
+  /// Drops dead keys off the front; true when the open bucket's first key
+  /// is live, and so the (time, seq)-least live event. Advances the ring
+  /// only onto buckets that start at or before `limit`.
+  bool live_front(std::uint64_t limit = ~std::uint64_t{0});
+  /// Removes and returns the open bucket's first key.
+  Key pop_front() noexcept;
+  /// Makes the next non-empty bucket the open bucket (the open bucket must
+  /// be used up): drains its ring list, pulls in far keys now within the
+  /// horizon, and sorts it. False when the queue is empty or the next
+  /// bucket starts after `limit`.
+  bool advance(std::uint64_t limit);
+  /// Bucket number of the first occupied ring bucket after the open one.
+  std::uint64_t next_occupied() const noexcept;
+  Key pop_far() noexcept;
   /// Moves `key` down from `hole` to its place among the first `n` entries.
   void sift_down(std::size_t hole, Key key, std::size_t n) noexcept;
-  /// Pops dead keys off the top; true when a live event is next.
-  bool live_front() noexcept;
-  /// Drops every dead key and re-heapifies (Floyd); (time, seq) is a total
-  /// order, so the pop order is unchanged.
+  /// Drops every dead key: the open bucket, the occupied ring buckets (the
+  /// bitmap skips empty ones) and the far heap, which is re-heapified
+  /// (Floyd). (time, seq) is a total order, so the pop order is unchanged.
   void sweep_dead();
 
-  std::vector<Key> heap_;  // kArity-ary min-heap under earlier()
+  // Open bucket: sorted, consumed from open_pos_; holds buckets <= cur_.
+  std::vector<Key> open_;
+  std::size_t open_pos_ = 0;
+  std::uint64_t cur_ = 0;  // bucket number of the open bucket
+  // Ring: buckets cur_ + 1 .. cur_ + kRingSize, at `bucket & kRingMask`.
+  std::vector<std::uint32_t> ring_head_ =
+      std::vector<std::uint32_t>(kRingSize, kNil);
+  std::array<std::uint64_t, kRingSize / 64> occupied_{};
+  std::vector<Node> nodes_;  // list cells; free ones chain from free_node_
+  std::uint32_t free_node_ = kNil;
+  std::size_t ring_keys_ = 0;
+  std::vector<Key> far_;  // kArity-ary min-heap of buckets > cur_ + kRingSize
+  std::size_t size_ = 0;  // keys in all tiers, dead ones included
+  std::size_t dead_ = 0;  // cancelled keys still queued
+
   Slab<Task> tasks_;
-  // Seq of the event waiting in each slot, kNone once it started running or
+  // Tag of the event waiting in each slot, kNone once it started running or
   // was cancelled; parallel to tasks_ so the Task records stay two cache
-  // lines. A heap key is dead when its seq no longer matches.
-  std::vector<std::uint64_t> live_seq_;
+  // lines. A key is dead when its tag no longer matches.
+  std::vector<std::uint64_t> live_tag_;
 #if QOPT_PROFILE_ENABLED
   // Virtual instant at() staged each slot's event (dwell telemetry).
   std::vector<Time> enqueued_at_;
@@ -155,7 +245,6 @@ class Simulator {
   std::uint64_t next_seq_ = 0;
   std::uint64_t processed_ = 0;
   std::uint64_t fingerprint_ = 0;
-  std::size_t dead_ = 0;  // cancelled keys still in heap_
   bool stopped_ = false;
   // qopt-perf: allow(heap-alloc-hot) null on production runs; step() sees a bool test
   ScheduleChooser chooser_;

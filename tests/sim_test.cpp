@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <iterator>
 #include <cstdint>
 #include <memory>
 #include <set>
@@ -283,57 +285,198 @@ TEST(SimulatorCancelTest, PendingAndEmptyCountLiveEventsOnly) {
   EXPECT_EQ(sim.now(), 0);
 }
 
-TEST(SimulatorCancelTest, MatchesAnOrderedSetOverRandomInterleavings) {
-  // Differential test: the simulator under random schedule / cancel / step
-  // sequences against a std::set of (time, seq). Times come from a narrow
-  // range so same-instant ties are common; bursts of cancels push the dead
-  // share past one half and force heap rebuilds.
-  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
-    Rng rng(seed);
-    Simulator sim;
-    std::set<std::pair<Time, std::uint64_t>> model;  // (time, id)
-    std::vector<std::pair<EventHandle, std::pair<Time, std::uint64_t>>> all;
-    std::vector<std::uint64_t> ran;
-    std::vector<std::uint64_t> expected;
-    std::uint64_t next_id = 0;
-    for (int op = 0; op < 4000; ++op) {
-      const std::uint64_t dice = rng.next_below(100);
-      if (dice < 45) {
-        const std::uint64_t id = next_id++;
-        const Time t = sim.now() + static_cast<Time>(rng.next_below(8));
-        const EventHandle h = sim.at(t, [&ran, id] { ran.push_back(id); });
-        model.emplace(t, id);
-        all.push_back({h, {t, id}});
-      } else if (dice < 70 && !all.empty()) {
-        // Any handle ever issued: live, ran, cancelled, or slot reused.
-        const auto& [h, key] = all[rng.next_below(all.size())];
-        EXPECT_EQ(sim.cancel(h), model.erase(key) == 1);
-      } else if (dice < 73) {
-        // Burst: cancel most live events at once.
-        for (const auto& [h, key] : all) {
-          if (rng.next_below(4) != 0 && model.erase(key) == 1) {
-            EXPECT_TRUE(sim.cancel(h));
-          }
-        }
-      } else {
-        const bool stepped = sim.step();
-        EXPECT_EQ(stepped, !model.empty());
-        if (stepped) {
-          expected.push_back(model.begin()->second);
-          EXPECT_EQ(sim.now(), model.begin()->first);
-          model.erase(model.begin());
+// Differential harness: drives a Simulator through random schedule /
+// cancel / step sequences (optionally bounded runs, full drains and a random
+// schedule chooser) and checks it against a std::set of (time, id), the
+// order one sorted queue gives. `offset` draws a new event's delay from
+// now.
+using OffsetFn = Time (*)(Rng&, Time now);
+
+struct DiffOptions {
+  OffsetFn offset = nullptr;
+  bool bounded_runs = false;  // mix in run(until) and run() to exhaustion
+  bool chooser = false;       // toggle a random schedule chooser on and off
+};
+
+void run_differential(std::uint64_t seed, const DiffOptions& opt) {
+  constexpr std::size_t kWindow = 3;
+  Rng rng(seed);
+  Simulator sim;
+  std::set<std::pair<Time, std::uint64_t>> model;  // (time, id)
+  std::vector<std::pair<EventHandle, std::pair<Time, std::uint64_t>>> all;
+  std::vector<std::uint64_t> ran;
+  std::vector<std::uint64_t> expected;
+  std::uint64_t next_id = 0;
+  Time now = 0;
+  bool choosing = false;
+  std::size_t staged = 0;  // the last chooser call's candidates and pick
+  std::size_t pick = 0;
+  const auto model_run = [&](auto it) {
+    now = std::max(now, it->first);
+    expected.push_back(it->second);
+    model.erase(it);
+  };
+  for (int op = 0; op < 4000; ++op) {
+    const std::uint64_t dice = rng.next_below(100);
+    if (dice < 45) {
+      const std::uint64_t id = next_id++;
+      const Time t = sim.now() + opt.offset(rng, sim.now());
+      const EventHandle h = sim.at(t, [&ran, id] { ran.push_back(id); });
+      model.emplace(t, id);
+      all.push_back({h, {t, id}});
+    } else if (dice < 65 && !all.empty()) {
+      // Any handle ever issued: live, ran, cancelled, or slot reused.
+      const auto& [h, key] = all[rng.next_below(all.size())];
+      EXPECT_EQ(sim.cancel(h), model.erase(key) == 1);
+    } else if (dice < 68) {
+      // Burst: cancel most live events at once.
+      for (const auto& [h, key] : all) {
+        if (rng.next_below(4) != 0 && model.erase(key) == 1) {
+          EXPECT_TRUE(sim.cancel(h));
         }
       }
-      ASSERT_EQ(sim.pending(), model.size()) << "seed " << seed;
-      ASSERT_EQ(sim.empty(), model.empty());
+    } else if (dice < 71 && opt.chooser) {
+      choosing = !choosing;
+      if (choosing) {
+        sim.set_schedule_chooser(
+            [&](std::size_t n) {
+              staged = n;
+              pick = rng.next_below(n);
+              return pick;
+            },
+            kWindow);
+      } else {
+        sim.clear_schedule_chooser();
+      }
+    } else if (dice < 78 && opt.bounded_runs && !choosing) {
+      const Time until = sim.now() + opt.offset(rng, sim.now());
+      std::uint64_t n = 0;
+      for (; !model.empty() && model.begin()->first <= until; ++n) {
+        model_run(model.begin());
+      }
+      EXPECT_EQ(sim.run(until), n) << "seed " << seed;
+      now = std::max(now, until);
+      EXPECT_EQ(sim.now(), now);
+    } else if (dice == 99 && opt.bounded_runs && !choosing) {
+      // Drain: the next events scheduled start from an empty queue.
+      const std::uint64_t n = model.size();
+      while (!model.empty()) model_run(model.begin());
+      EXPECT_EQ(sim.run(), n);
+      EXPECT_EQ(sim.now(), now);
+    } else {
+      staged = 0;
+      const bool stepped = sim.step();
+      EXPECT_EQ(stepped, !model.empty());
+      if (stepped) {
+        auto it = model.begin();
+        if (choosing && model.size() >= 2) {
+          EXPECT_EQ(staged, std::min(kWindow, model.size()));
+          std::advance(it, static_cast<std::ptrdiff_t>(pick));
+        }
+        model_run(it);
+        EXPECT_EQ(sim.now(), now) << "seed " << seed;
+      }
     }
-    while (!model.empty()) {
-      expected.push_back(model.begin()->second);
-      model.erase(model.begin());
-    }
-    sim.run();
-    EXPECT_EQ(ran, expected) << "seed " << seed;
+    ASSERT_EQ(sim.pending(), model.size()) << "seed " << seed;
+    ASSERT_EQ(sim.empty(), model.empty());
+    ASSERT_EQ(ran.size(), expected.size()) << "seed " << seed;
   }
+  sim.clear_schedule_chooser();
+  while (!model.empty()) model_run(model.begin());
+  sim.run();
+  EXPECT_EQ(ran, expected) << "seed " << seed;
+}
+
+TEST(SimulatorCancelTest, MatchesAnOrderedSetOverRandomInterleavings) {
+  // Times from a narrow range, so same-instant ties are common; bursts of
+  // cancels push the dead share past one half and force sweeps.
+  DiffOptions opt;
+  opt.offset = [](Rng& rng, Time) {
+    return static_cast<Time>(rng.next_below(8));
+  };
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    ASSERT_NO_FATAL_FAILURE(run_differential(seed, opt));
+  }
+}
+
+// Delays aimed at the calendar queue's seams: same-instant ties, exact
+// bucket boundaries (and one ns either side), the ring horizon, the open
+// bucket's own range, the far heap, and gaps so long that the ring empties
+// and the queue jumps straight to the far heap. The clock sweeps through
+// the ring many times over, so its positions wrap around.
+Time calendar_offset(Rng& rng, Time now) {
+  constexpr Time kBucket = Time{1} << Simulator::kBucketShift;
+  constexpr Time kSpan = kBucket * static_cast<Time>(Simulator::kRingSize);
+  const Time bucket_start = now / kBucket * kBucket;
+  const Time jitter = static_cast<Time>(rng.next_below(3)) - 1;
+  const auto below = [&rng](Time bound) {
+    return static_cast<Time>(rng.next_below(static_cast<std::uint64_t>(bound)));
+  };
+  Time t = now;
+  switch (rng.next_below(9)) {
+    case 0:
+    case 1:
+      return below(8);  // ties
+    case 2:  // bucket boundaries
+      t = bucket_start + kBucket * (1 + below(4)) + jitter;
+      break;
+    case 3:  // the ring horizon, a bucket either side
+      t = bucket_start + kSpan + kBucket * (below(3) - 1) + jitter;
+      break;
+    case 4:
+      return below(16 * kBucket);  // dense nearby buckets
+    case 5:
+      return below(kSpan);  // anywhere in the ring
+    case 6:
+      return kSpan + below(3 * kSpan);  // far heap
+    case 7:
+      return 8 * kSpan + below(kSpan);  // idle gap
+    default:  // the end of now's bucket
+      t = bucket_start + kBucket - 1 + jitter;
+      break;
+  }
+  return t > now ? t - now : 0;
+}
+
+TEST(SimulatorCalendarTest, MatchesAnOrderedSetAcrossBucketsRingAndFarHeap) {
+  // Cancels hit keys in the open bucket, the ring and the far heap; sweeps
+  // run over sparsely occupied rings; bounded runs stop short of the next
+  // event, so later schedules land at or below the open bucket.
+  DiffOptions opt;
+  opt.offset = calendar_offset;
+  opt.bounded_runs = true;
+  for (std::uint64_t seed = 1; seed <= 30; ++seed) {
+    ASSERT_NO_FATAL_FAILURE(run_differential(seed, opt));
+  }
+}
+
+TEST(SimulatorCalendarTest, ChooserRequeuesKeepTheOrderedSetOrder) {
+  // The chooser pops up to three keys (advancing the ring past the one it
+  // runs) and re-queues the rest behind the clock; clearing it must
+  // restore the canonical order.
+  DiffOptions opt;
+  opt.offset = calendar_offset;
+  opt.chooser = true;
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    ASSERT_NO_FATAL_FAILURE(run_differential(seed, opt));
+  }
+}
+
+TEST(SimulatorCalendarTest, RunUntilStopsShortThenEarlierSchedulesRunFirst) {
+  constexpr Time kBucket = Time{1} << Simulator::kBucketShift;
+  constexpr Time kSpan = kBucket * static_cast<Time>(Simulator::kRingSize);
+  Simulator sim;
+  std::vector<int> order;
+  sim.at(3 * kBucket + 10, [&] { order.push_back(0); });
+  sim.at(3 * kSpan, [&] { order.push_back(1); });  // far heap, on a boundary
+  EXPECT_EQ(sim.run(3 * kBucket + 2), 0u);
+  EXPECT_EQ(sim.now(), 3 * kBucket + 2);
+  sim.at(3 * kBucket + 5, [&] { order.push_back(2); });  // before event 0
+  sim.at(0, [&] { order.push_back(3); });                 // clamps to now
+  sim.at(2 * kSpan, [&] { order.push_back(4); });
+  EXPECT_EQ(sim.run(), 5u);
+  EXPECT_EQ(order, (std::vector<int>{3, 2, 0, 4, 1}));
+  EXPECT_EQ(sim.now(), 3 * kSpan);
 }
 
 // ---------------------------------------------------------------- node ids
