@@ -1,9 +1,16 @@
-// Engine self-benchmark (ROADMAP item 1): how many simulator events per
-// wall second does the discrete-event core sustain, and at what memory
-// cost? Closed-loop clients drive the raw engine (consistency checker and
-// span tracing off — this measures the engine, not the harness) across a
-// small scale ladder, and the trajectory lands in BENCH_engine.json so
-// successive engine-speed PRs have a committed before/after artifact.
+// Engine self-benchmark (ROADMAP item 1): how many simulated operations and
+// simulator events per wall second does the discrete-event core sustain,
+// and at what memory cost? Closed-loop clients drive the raw engine
+// (consistency checker and span tracing off — this measures the engine, not
+// the harness) across a small scale ladder, and the trajectory lands in
+// BENCH_engine.json so successive engine changes have a committed
+// before/after artifact.
+//
+// Compare `ops_per_second` across changes: the op count per scale is a
+// simulation fact, while the event count falls whenever the engine stops
+// running no-op events, so events/sec can read lower for a faster engine.
+// `schedule_fingerprint` (Simulator::schedule_fingerprint() at the end of
+// the scale) tells whether two artifacts ran the same event schedule.
 //
 // `--profile` enables the engine self-profiler (src/obs/profiler.hpp) and
 // appends each scale's attribution table — per-subsystem event/allocation
@@ -13,9 +20,9 @@
 // event total (asserted by tests/profiler_test.cpp).
 //
 // Determinism: all simulation-derived fields (events, ops, messages,
-// events per virtual second, profile attribution) are byte-identical
-// across same-seed reruns. Wall-derived fields (wall seconds, events/sec,
-// RSS, profile wall_ns) are host facts; `--deterministic` zeroes them so
+// events per virtual second, schedule fingerprint, profile attribution) are
+// byte-identical across same-seed reruns. Wall-derived fields (wall
+// seconds, ops/sec, events/sec, RSS, profile wall_ns) are host facts; `--deterministic` zeroes them so
 // the byte-identity gate can diff the artifact.
 //
 // Usage: engine_events_per_sec [--deterministic] [--profile] [--out <path>]
@@ -52,8 +59,10 @@ struct ScaleResult {
   std::uint64_t messages_delivered = 0;
   double virtual_seconds = 0.0;
   double events_per_virtual_second = 0.0;
+  std::uint64_t schedule_fingerprint = 0;
   // Wall-derived (zeroed under --deterministic).
   double wall_seconds = 0.0;
+  double ops_per_second = 0.0;
   double events_per_second = 0.0;
   std::uint64_t rss_kb = 0;
   // --profile attribution (empty string otherwise).
@@ -115,9 +124,13 @@ ScaleResult run_scale(const ScalePoint& scale, bool deterministic,
       r.virtual_seconds > 0
           ? static_cast<double>(r.events) / r.virtual_seconds
           : 0.0;
+  r.schedule_fingerprint = cluster.simulator().schedule_fingerprint();
   if (!deterministic) {
     r.wall_seconds =
         std::chrono::duration<double>(wall_end - wall_start).count();
+    r.ops_per_second =
+        r.wall_seconds > 0 ? static_cast<double>(r.ops) / r.wall_seconds
+                           : 0.0;
     r.events_per_second =
         r.wall_seconds > 0 ? static_cast<double>(r.events) / r.wall_seconds
                            : 0.0;
@@ -133,7 +146,7 @@ ScaleResult run_scale(const ScalePoint& scale, bool deterministic,
 }
 
 void append_json(std::string& out, const ScaleResult& r) {
-  char buf[512];
+  char buf[1024];
   std::snprintf(
       buf, sizeof(buf),
       "    {\n"
@@ -147,7 +160,9 @@ void append_json(std::string& out, const ScaleResult& r) {
       "      \"ops\": %llu,\n"
       "      \"messages_delivered\": %llu,\n"
       "      \"events_per_virtual_second\": %.1f,\n"
+      "      \"schedule_fingerprint\": \"0x%016llx\",\n"
       "      \"wall_seconds\": %.3f,\n"
+      "      \"ops_per_second\": %.1f,\n"
       "      \"events_per_second\": %.1f,\n"
       "      \"rss_kb\": %llu",
       r.scale.name, r.scale.num_storage, r.scale.num_proxies,
@@ -155,7 +170,9 @@ void append_json(std::string& out, const ScaleResult& r) {
       r.virtual_seconds, static_cast<unsigned long long>(r.events),
       static_cast<unsigned long long>(r.ops),
       static_cast<unsigned long long>(r.messages_delivered),
-      r.events_per_virtual_second, r.wall_seconds, r.events_per_second,
+      r.events_per_virtual_second,
+      static_cast<unsigned long long>(r.schedule_fingerprint),
+      r.wall_seconds, r.ops_per_second, r.events_per_second,
       static_cast<unsigned long long>(r.rss_kb));
   out += buf;
   if (!r.profile_json.empty()) {
@@ -189,8 +206,8 @@ int main(int argc, char** argv) {
 
   qopt::bench::print_header(
       "engine_events_per_sec — simulator engine throughput trajectory",
-      "reproduction infrastructure (ROADMAP item 1): events/sec + RSS "
-      "per scale");
+      "reproduction infrastructure (ROADMAP item 1): ops/sec, events/sec "
+      "+ RSS per scale");
 
   const std::vector<ScalePoint> ladder = {
       {"paper_testbed", 10, 5, 10, 5, qopt::seconds(8)},
@@ -208,10 +225,11 @@ int main(int argc, char** argv) {
     const ScaleResult r = run_scale(ladder[i], deterministic, profile);
     std::printf(
         "%-14s events %10llu  ops %8llu  evt/vsec %12.1f  "
-        "evt/sec %12.1f  rss %8llu KiB\n",
+        "ops/sec %10.1f  evt/sec %12.1f  rss %8llu KiB\n",
         r.scale.name, static_cast<unsigned long long>(r.events),
         static_cast<unsigned long long>(r.ops), r.events_per_virtual_second,
-        r.events_per_second, static_cast<unsigned long long>(r.rss_kb));
+        r.ops_per_second, r.events_per_second,
+        static_cast<unsigned long long>(r.rss_kb));
     append_json(json, r);
     json += i + 1 < ladder.size() ? ",\n" : "\n";
   }
