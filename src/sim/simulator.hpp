@@ -60,9 +60,10 @@ class Simulator {
   /// benchmark workloads: ~7% fall under 66 us (proxy CPU), ~56% in
   /// 262 us - 1 ms (network hops), most of the rest within 134 ms (storage
   /// queueing), 11-14% at 134-268 ms (op fallback and retransmit timers)
-  /// and at most 8.5% beyond. Buckets of 32.8 us hold a few dozen keys
-  /// each, and the ring reaches 268 ms past the open bucket, so op timers
-  /// stay out of the far heap. Fixed: the pop order never depends on them.
+  /// and at most 8.5% beyond. A 32.8 us bucket takes about a dozen new
+  /// keys on `wide_read`, and the ring reaches 268 ms past the open bucket,
+  /// so op timers stay out of the far heap. Fixed: the pop order never
+  /// depends on them.
   static constexpr unsigned kBucketShift = 15;
   static constexpr std::uint64_t kRingSize = std::uint64_t{1} << 13;
 
