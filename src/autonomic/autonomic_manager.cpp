@@ -69,17 +69,6 @@ AutonomicManager::AutonomicManager(sim::Simulator& sim, Net& net,
   ins_.last_kpi = &reg.gauge("am.last_kpi");
 }
 
-AutonomicStats AutonomicManager::stats() const {
-  AutonomicStats s;
-  s.rounds = ins_.rounds->value();
-  s.fine_grain_reconfigs = ins_.fine_grain_reconfigs->value();
-  s.objects_tuned = ins_.objects_tuned->value();
-  s.tail_reconfigs = ins_.tail_reconfigs->value();
-  s.steady_reconfigs = ins_.steady_reconfigs->value();
-  s.restarts = ins_.restarts->value();
-  return s;
-}
-
 void AutonomicManager::start() {
   if (running_) return;
   running_ = true;

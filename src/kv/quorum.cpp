@@ -56,7 +56,8 @@ const WeightedQuorum& sample(const std::vector<WeightedQuorum>& set,
 
 }  // namespace
 
-QuorumStrategy QuorumStrategy::majority(int r, int w, int n) {
+QuorumStrategy QuorumStrategy::majority(int r, int w,
+                                        [[maybe_unused]] int n) {
   assert(r >= 1 && w >= 1);
   assert(n == 0 || is_strict(QuorumConfig{r, w}, n));
   return QuorumStrategy(QuorumConfig{r, w});

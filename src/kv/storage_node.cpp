@@ -48,18 +48,6 @@ StorageNode::StorageNode(sim::Simulator& sim, Net& net, sim::NodeId self,
                                                     "restarts"));
 }
 
-StorageNodeStats StorageNode::stats() const {
-  StorageNodeStats s;
-  s.reads_served = ins_.reads_served->value();
-  s.writes_applied = ins_.writes_applied->value();
-  s.writes_discarded = ins_.writes_discarded->value();
-  s.nacks_sent = ins_.nacks_sent->value();
-  s.epoch_changes = ins_.epoch_changes->value();
-  s.dup_writes_ignored = ins_.dup_writes_ignored->value();
-  s.restarts = ins_.restarts->value();
-  return s;
-}
-
 void StorageNode::on_message(const sim::NodeId& from, const Message& msg) {
   QOPT_PROFILE_SCOPE(obs_, obs::ProfSubsystem::kStorage);
   if (crashed_) return;

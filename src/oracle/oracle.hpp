@@ -55,12 +55,6 @@ inline kv::QuorumConfig grid_from_write_quorum(int w, int replication) {
   return kv::QuorumConfig::of(replication - w + 1, w);
 }
 
-[[deprecated("use oracle::grid_from_write_quorum (or "
-             "kv::QuorumStrategy::majority for a strategy)")]]
-inline kv::QuorumConfig config_from_write_quorum(int w, int replication) {
-  return grid_from_write_quorum(w, replication);
-}
-
 class Oracle {
  public:
   virtual ~Oracle() = default;

@@ -78,24 +78,6 @@ Proxy::Proxy(sim::Simulator& sim, Net& net, sim::NodeId self,
       &reg.histogram(obs::instrument_name("proxy", i, "straggler_excess_ns"));
 }
 
-ProxyStats Proxy::stats() const {
-  ProxyStats s;
-  s.client_reads = ins_.client_reads->value();
-  s.client_writes = ins_.client_writes->value();
-  s.not_found_reads = ins_.not_found_reads->value();
-  s.repair_reads = ins_.repair_reads->value();
-  s.writebacks = ins_.writebacks->value();
-  s.nacks_received = ins_.nacks_received->value();
-  s.op_retries = ins_.op_retries->value();
-  s.fallbacks = ins_.fallbacks->value();
-  s.reconfigurations = ins_.reconfigurations->value();
-  s.retries = ins_.retries->value();
-  s.timeouts = ins_.timeouts->value();
-  s.duplicate_replies = ins_.duplicate_replies->value();
-  s.restarts = ins_.restarts->value();
-  return s;
-}
-
 void Proxy::trace(obs::Category category, const char* name, std::uint64_t a,
                   std::uint64_t b) {
   obs::Tracer& tracer = obs_->tracer();

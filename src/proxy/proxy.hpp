@@ -73,24 +73,6 @@ struct ProxyOptions {
   double retry_jitter = 0.2;
 };
 
-/// Legacy aggregate view; the authoritative instruments live in the shared
-/// `obs::MetricRegistry` under `proxy.<index>.*`.
-struct ProxyStats {
-  std::uint64_t client_reads = 0;
-  std::uint64_t client_writes = 0;
-  std::uint64_t not_found_reads = 0;
-  std::uint64_t repair_reads = 0;   // Algorithm 4 second-phase reads
-  std::uint64_t writebacks = 0;     // repaired values rewritten
-  std::uint64_t nacks_received = 0;
-  std::uint64_t op_retries = 0;     // re-executions after a NACK
-  std::uint64_t fallbacks = 0;      // timeout fan-outs to remaining replicas
-  std::uint64_t reconfigurations = 0;
-  std::uint64_t retries = 0;           // timeout retransmit rounds
-  std::uint64_t timeouts = 0;          // ops failed after the retry budget
-  std::uint64_t duplicate_replies = 0; // replies ignored by replica dedup
-  std::uint64_t restarts = 0;
-};
-
 /// Completion record surfaced to the metrics layer.
 struct OpRecord {
   kv::ObjectId oid = 0;
@@ -162,8 +144,6 @@ class Proxy {
   /// Observability bundle in use (the shared one, or the private fallback).
   obs::Observability& observability() noexcept { return *obs_; }
   const obs::Observability& observability() const noexcept { return *obs_; }
-  [[deprecated("query the metric registry (proxy.<i>.*) instead")]]
-  ProxyStats stats() const;
   std::size_t pending_ops() const noexcept { return ops_.size(); }
   std::size_t override_count() const noexcept { return overrides_.size(); }
 

@@ -58,17 +58,6 @@ ReconfigManager::ReconfigManager(sim::Simulator& sim, Net& net,
   ins_.cfno = &reg.gauge("rm.cfno");
 }
 
-ReconfigStats ReconfigManager::stats() const {
-  ReconfigStats s;
-  s.reconfigurations_completed = ins_.reconfigurations_completed->value();
-  s.epoch_changes = ins_.epoch_changes->value();
-  s.rejected_invalid = ins_.rejected_invalid->value();
-  s.retries = ins_.retries->value();
-  s.total_reconfig_time =
-      static_cast<Duration>(ins_.reconfig_time_ns->value());
-  return s;
-}
-
 void ReconfigManager::trace(obs::Category category, const char* name,
                             std::uint64_t a, std::uint64_t b) {
   obs::Tracer& tracer = obs_->tracer();

@@ -44,16 +44,6 @@
 
 namespace qopt::reconfig {
 
-/// Legacy aggregate view; the authoritative instruments live in the shared
-/// `obs::MetricRegistry` under `rm.*`.
-struct ReconfigStats {
-  std::uint64_t reconfigurations_completed = 0;
-  std::uint64_t epoch_changes = 0;
-  std::uint64_t rejected_invalid = 0;
-  std::uint64_t retries = 0;  // phase-message retransmit rounds
-  Duration total_reconfig_time = 0;  // summed wall (virtual) time
-};
-
 class ReconfigManager {
  public:
   using Net = sim::Network<kv::Message>;
@@ -127,8 +117,6 @@ class ReconfigManager {
   /// Observability bundle in use (the shared one, or the private fallback).
   obs::Observability& observability() noexcept { return *obs_; }
   const obs::Observability& observability() const noexcept { return *obs_; }
-  [[deprecated("query the metric registry (rm.*) instead")]]
-  ReconfigStats stats() const;
 
  private:
   enum class Phase {

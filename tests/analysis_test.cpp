@@ -1,14 +1,18 @@
 // tools/analysis shared-framework tests: the tokenizer (comment/literal
-// stripping), the file walker, and the justified-suppression grammar that
-// qopt_lint and qopt_arch both build on. The tokenizer cases pin the
-// behaviour qopt_lint relied on before the refactor, plus the digit-
-// separator handling qopt_arch's symbol map depends on.
+// stripping), the body scanner, the file walker, the justified-suppression
+// grammar, and the manifest reader that the analyzers build on. The
+// tokenizer cases pin the behaviour qopt_lint relied on before the
+// refactor, plus the digit-separator handling qopt_arch's symbol map
+// depends on.
 #include <algorithm>
+#include <filesystem>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "analysis/manifest.hpp"
 #include "analysis/source.hpp"
 #include "analysis/suppress.hpp"
 
@@ -252,6 +256,192 @@ TEST(AnalysisTest, QuorumAnnotationReportsInUnifiedFormat) {
             "qopt-lint:quorum:f.cpp:1: n=5");
   EXPECT_EQ(ann.quorum_n.at(1), 5);
   EXPECT_EQ(ann.quorum_n.at(2), 5);
+}
+
+// ---------------------------------------------------------- body scanner
+
+TEST(AnalysisScannerTest, BodyOpenAfterSkipsQualifiersAndInitLists) {
+  using qopt::analysis::body_open_after;
+  using qopt::analysis::match_parens;
+  const auto body_of = [](const std::string& text) {
+    const std::size_t params = match_parens(text, text.find('('));
+    const std::size_t open = body_open_after(text, params);
+    return open == std::string::npos ? std::string("<none>")
+                                     : text.substr(open);
+  };
+  EXPECT_EQ(body_of("int f(int a) const noexcept(true) { x; }"), "{ x; }");
+  EXPECT_EQ(body_of("auto f() -> Time { y; }"), "{ y; }");
+  EXPECT_EQ(body_of("S::S(int a) : a_{a}, b_(2) { z; }"), "{ z; }");
+  EXPECT_EQ(body_of("void f(int a);"), "<none>");
+}
+
+TEST(AnalysisScannerTest, CompanionHeaderIsTheSiblingHeader) {
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::temp_directory_path() / "qopt_analysis_test";
+  fs::create_directories(dir);
+  const std::string cpp = (dir / "unit.cpp").string();
+  const std::string hpp = (dir / "unit.hpp").string();
+  ASSERT_TRUE(qopt::analysis::write_file(hpp, "h"));
+  ASSERT_TRUE(qopt::analysis::write_file(cpp, "c"));
+  EXPECT_EQ(qopt::analysis::companion_header_source(cpp), "h");
+  EXPECT_EQ(qopt::analysis::companion_header_source(hpp), "");
+  fs::remove_all(dir);
+  EXPECT_EQ(qopt::analysis::companion_header_source(cpp), "");
+}
+
+// ------------------------------------------------------- manifest reader
+
+using qopt::analysis::ManifestDoc;
+using qopt::analysis::ManifestEntry;
+using qopt::analysis::read_manifest;
+
+std::vector<std::string> array_of(const ManifestEntry& entry) {
+  return std::get<std::vector<std::string>>(entry.value);
+}
+
+TEST(AnalysisManifestTest, ReadsTablesAndEntriesInFileOrder) {
+  const ManifestDoc doc = read_manifest("m.toml",
+                                        "# header comment\n"
+                                        "[wire]\n"
+                                        "header = \"src/kv/wire.hpp\"\n"
+                                        "\n"
+                                        "[messages.Ping]\n"
+                                        "versioned = true\n"
+                                        "span = false\n");
+  EXPECT_TRUE(doc.errors.empty());
+  ASSERT_EQ(doc.tables.size(), 2u);
+  EXPECT_EQ(doc.tables[0].name, "wire");
+  EXPECT_EQ(doc.tables[0].line, 2u);
+  ASSERT_EQ(doc.tables[0].entries.size(), 1u);
+  EXPECT_EQ(doc.tables[0].entries[0].key, "header");
+  EXPECT_EQ(doc.tables[0].entries[0].line, 3u);
+  EXPECT_EQ(std::get<std::string>(doc.tables[0].entries[0].value),
+            "src/kv/wire.hpp");
+  EXPECT_EQ(doc.tables[1].name, "messages.Ping");
+  ASSERT_EQ(doc.tables[1].entries.size(), 2u);
+  EXPECT_TRUE(std::get<bool>(doc.tables[1].entries[0].value));
+  EXPECT_FALSE(std::get<bool>(doc.tables[1].entries[1].value));
+}
+
+TEST(AnalysisManifestTest, MultiLineArrayWithTrailingCommaAndComments) {
+  const ManifestDoc doc = read_manifest("m.toml",
+                                        "[layers]\n"
+                                        "order = [\n"
+                                        "  \"util\",  # lowest\n"
+                                        "  # a whole-line comment\n"
+                                        "  \"core\", \"proxy\",\n"
+                                        "]\n");
+  EXPECT_TRUE(doc.errors.empty());
+  ASSERT_EQ(doc.tables.size(), 1u);
+  ASSERT_EQ(doc.tables[0].entries.size(), 1u);
+  EXPECT_EQ(doc.tables[0].entries[0].line, 2u);
+  EXPECT_EQ(array_of(doc.tables[0].entries[0]),
+            (std::vector<std::string>{"util", "core", "proxy"}));
+}
+
+TEST(AnalysisManifestTest, HashInsideAStringIsNotAComment) {
+  const ManifestDoc doc = read_manifest(
+      "m.toml", "[t]\npath = \"a#b\"  # comment\nitems = [\"#x\"]\n");
+  EXPECT_TRUE(doc.errors.empty());
+  ASSERT_EQ(doc.tables[0].entries.size(), 2u);
+  EXPECT_EQ(std::get<std::string>(doc.tables[0].entries[0].value), "a#b");
+  EXPECT_EQ(array_of(doc.tables[0].entries[1]),
+            (std::vector<std::string>{"#x"}));
+}
+
+TEST(AnalysisManifestTest, BracketInsideAQuotedArrayItemIsPartOfTheItem) {
+  const ManifestDoc doc = read_manifest("m.toml", "[t]\norder = [\"a]b\"]\n");
+  EXPECT_TRUE(doc.errors.empty());
+  ASSERT_EQ(doc.tables[0].entries.size(), 1u);
+  EXPECT_EQ(array_of(doc.tables[0].entries[0]),
+            (std::vector<std::string>{"a]b"}));
+}
+
+TEST(AnalysisManifestTest, TrailingTextAfterAValueIsAFinding) {
+  const ManifestDoc doc = read_manifest("m.toml",
+                                        "[t]\n"
+                                        "order = [\"a\"] \"b\"\n"
+                                        "path = \"src/a\" junk\n"
+                                        "flag = true false\n"
+                                        "deps = [\n"
+                                        "  \"x\",\n"
+                                        "] tail\n");
+  ASSERT_EQ(doc.errors.size(), 4u);
+  const std::vector<std::size_t> lines = {2, 3, 4, 7};
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    EXPECT_EQ(doc.errors[i].rule, "manifest");
+    EXPECT_EQ(doc.errors[i].line, lines[i]);
+  }
+  EXPECT_NE(doc.errors[1].message.find("junk"), std::string::npos);
+}
+
+TEST(AnalysisManifestTest, ValueThatIsNotAStringBoolOrArrayIsAFinding) {
+  const ManifestDoc doc = read_manifest("m.toml", "[t]\nversioned = 7\n");
+  ASSERT_EQ(doc.errors.size(), 1u);
+  EXPECT_EQ(doc.errors[0].line, 2u);
+  EXPECT_EQ(doc.errors[0].message,
+            "value of `versioned` must be a string, boolean, or array");
+  EXPECT_TRUE(doc.tables[0].entries.empty());
+}
+
+TEST(AnalysisManifestTest, UnterminatedArrayIsReportedOnItsOpeningLine) {
+  const ManifestDoc doc =
+      read_manifest("m.toml", "[t]\ntypes = [\"A\",\n\"B\"\n");
+  ASSERT_EQ(doc.errors.size(), 1u);
+  EXPECT_EQ(doc.errors[0].line, 2u);
+  EXPECT_EQ(doc.errors[0].message, "unterminated array for `types`");
+  EXPECT_TRUE(doc.tables[0].entries.empty());
+}
+
+TEST(AnalysisManifestTest, EmptyDottedTableNameIsAFinding) {
+  const ManifestDoc doc =
+      read_manifest("m.toml", "[modules.]\ndeps = [\"a\"]\n");
+  ASSERT_EQ(doc.errors.size(), 1u);
+  EXPECT_EQ(doc.errors[0].line, 1u);
+  // Its entries belong to no table, so any schema rejects them.
+  ASSERT_EQ(doc.tables.size(), 1u);
+  EXPECT_TRUE(doc.tables[0].name.empty());
+  std::vector<qopt::analysis::Finding> errors;
+  qopt::analysis::reject_table("m.toml", doc.tables[0], "[modules.<name>]",
+                               errors);
+  ASSERT_EQ(errors.size(), 1u);
+  EXPECT_EQ(errors[0].message, "unknown key `deps` in this section");
+}
+
+TEST(AnalysisManifestTest, ReadTableChecksKeysAndValueTypes) {
+  const ManifestDoc doc = read_manifest(
+      "m.toml",
+      "[t]\nname = \"n\"\nitems = \"not-an-array\"\nbogus = true\n");
+  ASSERT_TRUE(doc.errors.empty());
+  std::string name;
+  std::vector<std::string> items;
+  std::vector<qopt::analysis::Finding> errors;
+  qopt::analysis::read_table("m.toml", doc.tables[0],
+                             {{"name", &name}, {"items", &items}}, errors);
+  EXPECT_EQ(name, "n");
+  EXPECT_TRUE(items.empty());
+  ASSERT_EQ(errors.size(), 2u);
+  EXPECT_EQ(errors[0].message, "value of `items` must be an array");
+  EXPECT_EQ(errors[1].message, "unknown key `bogus` in this section");
+}
+
+struct TestManifest {
+  std::string path;
+  std::vector<qopt::analysis::Finding> errors;
+};
+
+TestManifest parse_test_manifest(const std::string& path,
+                                 const std::string& text) {
+  return {path, read_manifest(path, text).errors};
+}
+
+TEST(AnalysisManifestTest, UnreadablePathIsAFinding) {
+  const TestManifest m = qopt::analysis::load_manifest(
+      "/nonexistent/qopt/manifest.toml", parse_test_manifest);
+  ASSERT_EQ(m.errors.size(), 1u);
+  EXPECT_EQ(m.errors[0].rule, "manifest");
+  EXPECT_EQ(m.errors[0].line, 0u);
+  EXPECT_EQ(m.errors[0].message, "cannot read manifest");
 }
 
 }  // namespace

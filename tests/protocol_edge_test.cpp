@@ -217,7 +217,7 @@ TEST(WireSymmetryTest, VersionedMessagesRoundTripAndDropFutureFrames) {
   const proto::Manifest manifest = proto::load_manifest(
       std::string(QOPT_SOURCE_ROOT) + "/docs/PROTOCOL.toml");
   ASSERT_TRUE(manifest.errors.empty())
-      << proto::format_finding(manifest.errors.front());
+      << analysis::format_finding(manifest.errors.front());
   std::set<std::string> versioned;
   for (const auto& message : manifest.messages) {
     if (message.versioned) versioned.insert(message.name);

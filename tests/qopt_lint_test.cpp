@@ -56,7 +56,7 @@ TEST(QoptLintTest, WallClockFixtureFlagsEveryAmbientTimeSource) {
   const auto counts = count_by_rule(findings);
   // system_clock, steady_clock, rand(), random_device, time(nullptr) — and
   // NOT the justified-allow line at the bottom.
-  EXPECT_EQ(counts.at("wall-clock"), 5) << qopt::lint::format_finding(
+  EXPECT_EQ(counts.at("wall-clock"), 5) << qopt::analysis::format_finding(
       findings.empty() ? Finding{} : findings.front());
   EXPECT_EQ(counts.size(), 1u);  // no other rules fire
 }
@@ -187,7 +187,7 @@ TEST(QoptLintTest, BareAllowIsItselfAFindingAndDoesNotSuppress) {
 TEST(QoptLintTest, CleanFixtureProducesNoFindings) {
   const auto findings = lint_fixture("clean.fixture");
   for (const Finding& f : findings) {
-    ADD_FAILURE() << qopt::lint::format_finding(f);
+    ADD_FAILURE() << qopt::analysis::format_finding(f);
   }
 }
 
@@ -208,7 +208,7 @@ TEST(QoptLintTest, FindingsCarryFileLineAndRule) {
   for (const Finding& f : findings) {
     EXPECT_EQ(f.file, fixture_path("wall_clock.fixture"));
     EXPECT_GT(f.line, 0u);
-    const std::string rendered = qopt::lint::format_finding(f);
+    const std::string rendered = qopt::analysis::format_finding(f);
     EXPECT_NE(rendered.find(f.rule), std::string::npos);
     EXPECT_NE(rendered.find(":" + std::to_string(f.line) + ":"),
               std::string::npos);

@@ -79,7 +79,7 @@ bool has_finding(const std::vector<Finding>& fs, const std::string& rule,
 
 std::string describe(const std::vector<Finding>& fs) {
   std::string out;
-  for (const Finding& f : fs) out += qopt::perf::format_finding(f) + "\n";
+  for (const Finding& f : fs) out += qopt::analysis::format_finding(f) + "\n";
   return out;
 }
 

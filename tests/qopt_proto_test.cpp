@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include "analysis/suppress.hpp"
 #include "qopt_proto/proto.hpp"
 
 namespace {
@@ -76,7 +77,7 @@ bool has_rule(const std::vector<Finding>& fs, const std::string& rule) {
 
 std::string describe(const std::vector<Finding>& fs) {
   std::string out;
-  for (const Finding& f : fs) out += qopt::proto::format_finding(f) + "\n";
+  for (const Finding& f : fs) out += qopt::analysis::format_finding(f) + "\n";
   return out;
 }
 
@@ -369,7 +370,8 @@ TEST(QoptProtoSuppress, JustifiedAllowSilencesBareAllowDoesNot) {
 }
 
 TEST(QoptProtoSuppress, SuppressionsAreEnumerable) {
-  const auto sups = qopt::proto::file_suppressions(
+  const auto sups = qopt::analysis::file_suppressions(
+      qopt::proto::kTool,
       std::string(QOPT_PROTO_FIXTURE_DIR) + "/node_suppress.cpp");
   ASSERT_EQ(sups.size(), 1u);
   EXPECT_EQ(sups[0].rule, "epoch-guard");

@@ -242,6 +242,121 @@ std::vector<std::string> identifiers_in(const std::string& text) {
   return out;
 }
 
+bool token_at(const std::string& text, std::size_t pos, std::size_t len) {
+  if (pos > 0 && is_ident_char(text[pos - 1])) return false;
+  if (pos + len < text.size() && is_ident_char(text[pos + len])) return false;
+  return true;
+}
+
+std::size_t skip_ws(const std::string& text, std::size_t pos) {
+  while (pos < text.size() &&
+         std::isspace(static_cast<unsigned char>(text[pos]))) {
+    ++pos;
+  }
+  return pos;
+}
+
+std::size_t prev_nonspace(const std::string& text, std::size_t pos) {
+  while (pos > 0) {
+    --pos;
+    if (!std::isspace(static_cast<unsigned char>(text[pos]))) return pos;
+  }
+  return std::string::npos;
+}
+
+std::string ident_ending_at(const std::string& text, std::size_t end,
+                            std::size_t& start) {
+  if (end == std::string::npos || !is_ident_char(text[end])) {
+    start = end;
+    return {};
+  }
+  start = end;
+  while (start > 0 && is_ident_char(text[start - 1])) --start;
+  return text.substr(start, end - start + 1);
+}
+
+std::size_t match_parens(const std::string& text, std::size_t open) {
+  int depth = 0;
+  for (std::size_t i = open; i < text.size(); ++i) {
+    if (text[i] == '(') {
+      ++depth;
+    } else if (text[i] == ')') {
+      if (--depth == 0) return i + 1;
+    }
+  }
+  return std::string::npos;
+}
+
+std::size_t match_braces(const std::string& text, std::size_t open) {
+  int depth = 0;
+  for (std::size_t i = open; i < text.size(); ++i) {
+    if (text[i] == '{') {
+      ++depth;
+    } else if (text[i] == '}') {
+      if (--depth == 0) return i;
+    }
+  }
+  return std::string::npos;
+}
+
+std::size_t body_open_after(const std::string& text, std::size_t pos) {
+  for (;;) {
+    pos = skip_ws(text, pos);
+    if (pos >= text.size()) return std::string::npos;
+    const char c = text[pos];
+    if (c == '{') return pos;
+    if (c == ';') return std::string::npos;
+    if (c == '(') {  // noexcept(...)
+      pos = match_parens(text, pos);
+      if (pos == std::string::npos) return std::string::npos;
+      continue;
+    }
+    if (c == ':') {
+      // Constructor init list: the body '{' is the first brace at paren
+      // depth 0 whose predecessor is ')' or '}' (an initializer closer);
+      // a brace preceded by an identifier is a member brace-init.
+      int depth = 0;
+      for (std::size_t i = pos + 1; i < text.size(); ++i) {
+        if (text[i] == '(') {
+          ++depth;
+        } else if (text[i] == ')') {
+          --depth;
+        } else if (text[i] == ';') {
+          return std::string::npos;
+        } else if (text[i] == '{' && depth == 0) {
+          const std::size_t p = prev_nonspace(text, i);
+          if (p != std::string::npos &&
+              (text[p] == ')' || text[p] == '}')) {
+            return i;
+          }
+          const std::size_t close = match_braces(text, i);
+          if (close == std::string::npos) return std::string::npos;
+          i = close;
+        }
+      }
+      return std::string::npos;
+    }
+    if (c == '-' && pos + 1 < text.size() && text[pos + 1] == '>') {
+      pos += 2;  // trailing return type: its tokens are skipped below
+      continue;
+    }
+    if (c == '<') {
+      pos = match_angle_brackets(text, pos);
+      if (pos == std::string::npos) return std::string::npos;
+      continue;
+    }
+    if (c == '&' || c == '*') {
+      ++pos;
+      continue;
+    }
+    if (is_ident_char(c)) {
+      while (pos < text.size() && is_ident_char(text[pos])) ++pos;
+      continue;
+    }
+    return std::string::npos;
+  }
+}
+
 std::vector<std::string> collect_sources(
     const std::vector<std::string>& paths) {
   namespace fs = std::filesystem;
@@ -278,6 +393,26 @@ bool read_file(const std::string& path, std::string& out) {
   buffer << in.rdbuf();
   out = buffer.str();
   return true;
+}
+
+bool write_file(const std::string& path, const std::string& text) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out << text;
+  return static_cast<bool>(out);
+}
+
+std::string companion_header_source(const std::string& path) {
+  namespace fs = std::filesystem;
+  const fs::path p(path);
+  const std::string ext = p.extension().string();
+  if (ext != ".cpp" && ext != ".cc") return {};
+  for (const char* header_ext : {".hpp", ".h"}) {
+    fs::path header = p;
+    header.replace_extension(header_ext);
+    std::string header_source;
+    if (read_file(header.string(), header_source)) return header_source;
+  }
+  return {};
 }
 
 }  // namespace qopt::analysis

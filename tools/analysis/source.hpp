@@ -1,7 +1,9 @@
 // Shared source-handling layer for the project's static-analysis tools
-// (qopt_lint, qopt_arch). Everything here is dependency-free (no LLVM):
-// a comment/literal-stripping state machine, small token helpers, and the
-// file walker that expands directories into the C++ sources to scan.
+// (qopt_lint, qopt_arch, qopt_perf, qopt_proto). Everything here is
+// dependency-free (no LLVM): a comment/literal-stripping state machine,
+// small token helpers, the body scanner that locates function bodies in
+// stripped text, and the file walker that expands directories into the C++
+// sources to scan.
 //
 // The tools share one Finding shape so their diagnostics (and suppression
 // summaries, see suppress.hpp) render identically.
@@ -51,6 +53,49 @@ std::string read_identifier(const std::string& text, std::size_t& pos);
 /// Every maximal identifier token in `text`, in order of appearance.
 std::vector<std::string> identifiers_in(const std::string& text);
 
+// ------------------------------------------------------------ body scanner
+// Offsets index comment/literal-stripped text; npos means "not found".
+
+/// True when [pos, pos+len) is a whole identifier token (word-bounded).
+bool token_at(const std::string& text, std::size_t pos, std::size_t len);
+
+/// First offset at or after `pos` that is not whitespace.
+std::size_t skip_ws(const std::string& text, std::size_t pos);
+
+/// Index of the last non-whitespace char strictly before `pos`, or npos.
+std::size_t prev_nonspace(const std::string& text, std::size_t pos);
+
+/// Reads the identifier ending at (and including) `end`; `start` receives
+/// its first index. Empty when text[end] is not an identifier char.
+std::string ident_ending_at(const std::string& text, std::size_t end,
+                            std::size_t& start);
+
+/// Offset one past the ')' matching the '(' at `open`, or npos.
+std::size_t match_parens(const std::string& text, std::size_t open);
+
+/// Offset of the '}' matching the '{' at `open`, or npos.
+std::size_t match_braces(const std::string& text, std::size_t open);
+
+/// Given the offset one past a parameter list's ')', skips trailing
+/// qualifiers (const/noexcept[(...)]/override/final/mutable, `-> Type`, a
+/// constructor init list) and returns the offset of the function body's
+/// '{', or npos when the signature is a declaration (`;`) or the text is
+/// not a function definition after all.
+std::size_t body_open_after(const std::string& text, std::size_t pos);
+
+/// Calls `fn(offset)` for every word-bounded occurrence of `token`.
+template <typename Fn>
+void for_each_token(const std::string& text, const std::string& token,
+                    Fn&& fn) {
+  std::size_t pos = 0;
+  while ((pos = text.find(token, pos)) != std::string::npos) {
+    if (token_at(text, pos, token.size())) fn(pos);
+    pos += token.size();
+  }
+}
+
+// ------------------------------------------------------------------ files
+
 /// Expands files and directories (recursively) into the C++ sources to scan
 /// (.cpp/.cc/.hpp/.h), sorted and deduplicated; explicit file arguments are
 /// taken as-is. Directories named `*_fixtures` are skipped: they hold
@@ -60,5 +105,12 @@ std::vector<std::string> collect_sources(
 
 /// Reads a whole file; returns false on I/O failure.
 bool read_file(const std::string& path, std::string& out);
+
+/// Writes `text` as the whole file; returns false on I/O failure.
+bool write_file(const std::string& path, const std::string& text);
+
+/// For a .cpp/.cc path, the text of the sibling .hpp (else .h) with the
+/// same stem; empty for headers and when there is no such file.
+std::string companion_header_source(const std::string& path);
 
 }  // namespace qopt::analysis

@@ -47,6 +47,13 @@ Annotations scan_annotations(const std::string& tool, const std::string& path,
   return out;
 }
 
+std::vector<Suppression> file_suppressions(const std::string& tool,
+                                           const std::string& path) {
+  std::string source;
+  if (!read_file(path, source)) return {};
+  return scan_annotations(tool, path, split_lines(source)).suppressions;
+}
+
 bool allowed(const Annotations& ann, std::size_t line,
              const std::string& rule) {
   auto it = ann.allows.find(line);

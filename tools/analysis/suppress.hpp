@@ -54,6 +54,11 @@ struct Annotations {
 Annotations scan_annotations(const std::string& tool, const std::string& path,
                              const std::vector<std::string>& lines);
 
+/// The justified suppressions in the file at `path`, tagged `tool`; empty
+/// when the file cannot be read.
+std::vector<Suppression> file_suppressions(const std::string& tool,
+                                           const std::string& path);
+
 /// True when `rule` is suppressed at `line`.
 bool allowed(const Annotations& ann, std::size_t line,
              const std::string& rule);

@@ -64,10 +64,9 @@ struct Manifest {
   std::vector<Finding> errors;                        // parse-time problems
 };
 
-/// Parses the TOML subset used by docs/ARCHITECTURE.toml:
-/// `[layers]` with `order = [...]`, and `[modules.<name>]` sections with
-/// `deps = [...]` (arrays of double-quoted strings, multi-line allowed,
-/// `#` comments). Anything else is reported as a `manifest` finding.
+/// Reads docs/ARCHITECTURE.toml (grammar: analysis/manifest.hpp):
+/// `[layers]` with `order = [...]`, and `[modules.<name>]` tables with
+/// `deps = [...]`. Anything else is reported as a `manifest` finding.
 Manifest parse_manifest(const std::string& path, const std::string& text);
 
 /// Reads and parses; a read failure is a `manifest` finding in `errors`.

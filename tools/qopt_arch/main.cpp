@@ -12,10 +12,10 @@
 // `tool:rule:file:line: justification` summary shared with qopt_lint.
 // Exit status: 0 when clean, 1 when findings exist, 2 on usage error.
 #include <cstdio>
-#include <fstream>
 #include <string>
 #include <vector>
 
+#include "analysis/source.hpp"
 #include "analysis/suppress.hpp"
 #include "qopt_arch/arch.hpp"
 
@@ -25,12 +25,6 @@ constexpr const char* kUsage =
     "usage: qopt_arch --manifest <file> [--root <dir>] [--dot <out>]\n"
     "                 [--json <out>] [--suppressions] [--list-rules]\n"
     "                 <dir-or-file>...\n";
-
-bool write_text(const std::string& path, const std::string& text) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out << text;
-  return static_cast<bool>(out);
-}
 
 }  // namespace
 
@@ -101,12 +95,14 @@ int main(int argc, char** argv) {
     ++total;
   }
   if (!dot_path.empty() &&
-      !write_text(dot_path, qopt::arch::export_dot(tree, manifest))) {
+      !qopt::analysis::write_file(dot_path,
+                                  qopt::arch::export_dot(tree, manifest))) {
     std::fprintf(stderr, "qopt-arch: cannot write %s\n", dot_path.c_str());
     return 2;
   }
   if (!json_path.empty() &&
-      !write_text(json_path, qopt::arch::export_json(tree, manifest))) {
+      !qopt::analysis::write_file(json_path,
+                                  qopt::arch::export_json(tree, manifest))) {
     std::fprintf(stderr, "qopt-arch: cannot write %s\n", json_path.c_str());
     return 2;
   }

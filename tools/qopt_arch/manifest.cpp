@@ -1,168 +1,38 @@
-#include <cctype>
 #include <string>
 #include <vector>
 
-#include "analysis/source.hpp"
+#include "analysis/manifest.hpp"
 #include "qopt_arch/arch.hpp"
 
 namespace qopt::arch {
 
-namespace {
-
-std::string trimmed(const std::string& s) {
-  std::size_t b = 0, e = s.size();
-  while (b < e && std::isspace(static_cast<unsigned char>(s[b]))) ++b;
-  while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1]))) --e;
-  return s.substr(b, e - b);
-}
-
-std::string without_comment(const std::string& line) {
-  // `#` starts a comment anywhere outside a quoted string.
-  bool in_string = false;
-  for (std::size_t i = 0; i < line.size(); ++i) {
-    if (line[i] == '"') in_string = !in_string;
-    if (line[i] == '#' && !in_string) return line.substr(0, i);
-  }
-  return line;
-}
-
-/// Extracts the double-quoted strings from an array body fragment,
-/// reporting anything that is not a string, comma, or whitespace.
-void parse_array_items(const std::string& path, std::size_t lineno,
-                       const std::string& fragment,
-                       std::vector<std::string>& out,
-                       std::vector<Finding>& errors) {
-  std::size_t i = 0;
-  while (i < fragment.size()) {
-    const char c = fragment[i];
-    if (std::isspace(static_cast<unsigned char>(c)) || c == ',') {
-      ++i;
-      continue;
-    }
-    if (c == '"') {
-      const std::size_t close = fragment.find('"', i + 1);
-      if (close == std::string::npos) {
-        errors.push_back(
-            {path, lineno, "manifest", "unterminated string in array"});
-        return;
-      }
-      out.push_back(fragment.substr(i + 1, close - i - 1));
-      i = close + 1;
-      continue;
-    }
-    errors.push_back({path, lineno, "manifest",
-                      "expected a double-quoted string in array, got `" +
-                          fragment.substr(i, 1) + "`"});
-    return;
-  }
-}
-
-}  // namespace
-
 Manifest parse_manifest(const std::string& path, const std::string& text) {
+  analysis::ManifestDoc doc = analysis::read_manifest(path, text);
   Manifest m;
   m.path = path;
-  const std::vector<std::string> lines = analysis::split_lines(text);
-
-  enum class Section { kNone, kLayers, kModule };
-  Section section = Section::kNone;
-  std::string current_module;
-
-  // Array state: key being filled, accumulated items, open until `]`.
-  bool in_array = false;
-  std::string array_key;
-  std::size_t array_line = 0;
-  std::vector<std::string> array_items;
-
-  auto finish_array = [&]() {
-    if (section == Section::kLayers && array_key == "order") {
-      m.order = array_items;
-    } else if (section == Section::kModule && array_key == "deps") {
-      auto& deps = m.deps[current_module];
-      deps.insert(array_items.begin(), array_items.end());
-    } else {
-      m.errors.push_back({path, array_line, "manifest",
-                          "unknown key `" + array_key + "` in this section"});
-    }
-    in_array = false;
-    array_key.clear();
-    array_items.clear();
-  };
-
-  for (std::size_t i = 0; i < lines.size(); ++i) {
-    const std::size_t lineno = i + 1;
-    const std::string line = trimmed(without_comment(lines[i]));
-    if (line.empty()) continue;
-
-    if (in_array) {
-      const std::size_t close = line.find(']');
-      parse_array_items(path, lineno, line.substr(0, close), array_items,
-                        m.errors);
-      if (close != std::string::npos) finish_array();
-      continue;
-    }
-
-    if (line.front() == '[') {
-      if (line == "[layers]") {
-        section = Section::kLayers;
-      } else if (line.starts_with("[modules.") && line.back() == ']') {
-        current_module = line.substr(9, line.size() - 10);
-        if (current_module.empty()) {
-          m.errors.push_back(
-              {path, lineno, "manifest", "empty module name in section"});
-          section = Section::kNone;
-        } else {
-          section = Section::kModule;
-          m.deps[current_module];  // declare even with no deps line
-        }
-      } else {
-        m.errors.push_back({path, lineno, "manifest",
-                            "unknown section `" + line +
-                                "` (expected [layers] or [modules.<name>])"});
-        section = Section::kNone;
+  m.errors = std::move(doc.errors);
+  for (const analysis::ManifestTable& table : doc.tables) {
+    if (table.name == "layers") {
+      analysis::read_table(path, table, {{"order", &m.order}}, m.errors);
+    } else if (table.name.starts_with("modules.")) {
+      // Declared even with no deps line; repeated deps lines add up.
+      auto& deps = m.deps[table.name.substr(8)];
+      for (const analysis::ManifestEntry& entry : table.entries) {
+        std::vector<std::string> items;
+        analysis::read_table(path, {table.name, table.line, {entry}},
+                             {{"deps", &items}}, m.errors);
+        deps.insert(items.begin(), items.end());
       }
-      continue;
+    } else {
+      analysis::reject_table(path, table,
+                             "[layers] or [modules.<name>]", m.errors);
     }
-
-    const std::size_t eq = line.find('=');
-    if (eq == std::string::npos) {
-      m.errors.push_back(
-          {path, lineno, "manifest", "expected `key = [...]`: `" + line + "`"});
-      continue;
-    }
-    const std::string key = trimmed(line.substr(0, eq));
-    const std::string value = trimmed(line.substr(eq + 1));
-    if (value.empty() || value.front() != '[') {
-      m.errors.push_back({path, lineno, "manifest",
-                          "value of `" + key + "` must be an array"});
-      continue;
-    }
-    in_array = true;
-    array_key = key;
-    array_line = lineno;
-    const std::string body = value.substr(1);
-    const std::size_t close = body.find(']');
-    parse_array_items(path, lineno, body.substr(0, close), array_items,
-                      m.errors);
-    if (close != std::string::npos) finish_array();
-  }
-  if (in_array) {
-    m.errors.push_back(
-        {path, array_line, "manifest", "unterminated array for `" + array_key +
-                                           "`"});
   }
   return m;
 }
 
 Manifest load_manifest(const std::string& path) {
-  std::string text;
-  if (!analysis::read_file(path, text)) {
-    Manifest m;
-    m.path = path;
-    m.errors.push_back({path, 0, "manifest", "cannot read manifest"});
-    return m;
-  }
-  return parse_manifest(path, text);
+  return analysis::load_manifest(path, parse_manifest);
 }
 
 }  // namespace qopt::arch

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <filesystem>
 #include <regex>
 #include <set>
 #include <string>
@@ -14,8 +13,6 @@
 namespace qopt::lint {
 
 namespace {
-
-constexpr const char* kTool = "qopt-lint";
 
 using analysis::allowed;
 using analysis::Annotations;
@@ -317,22 +314,6 @@ void check_quorum_literal(const std::string& path,
   }
 }
 
-std::string companion_header_source(const std::string& path) {
-  namespace fs = std::filesystem;
-  const fs::path p(path);
-  const std::string ext = p.extension().string();
-  if (ext != ".cpp" && ext != ".cc") return {};
-  for (const char* header_ext : {".hpp", ".h"}) {
-    fs::path header = p;
-    header.replace_extension(header_ext);
-    std::string header_source;
-    if (analysis::read_file(header.string(), header_source)) {
-      return header_source;
-    }
-  }
-  return {};
-}
-
 }  // namespace
 
 std::vector<Finding> lint_source(const std::string& path,
@@ -363,23 +344,7 @@ std::vector<Finding> lint_file(const std::string& path) {
   if (!analysis::read_file(path, source)) {
     return {{path, 0, "io", "cannot read file"}};
   }
-  return lint_source(path, source, companion_header_source(path));
-}
-
-std::vector<analysis::Suppression> file_suppressions(const std::string& path) {
-  std::string source;
-  if (!analysis::read_file(path, source)) return {};
-  return analysis::scan_annotations(kTool, path, split_lines(source))
-      .suppressions;
-}
-
-std::vector<std::string> collect_sources(
-    const std::vector<std::string>& paths) {
-  return analysis::collect_sources(paths);
-}
-
-std::string format_finding(const Finding& finding) {
-  return analysis::format_finding(finding);
+  return lint_source(path, source, analysis::companion_header_source(path));
 }
 
 }  // namespace qopt::lint

@@ -37,11 +37,13 @@
 #include <vector>
 
 #include "analysis/source.hpp"
-#include "analysis/suppress.hpp"
 
 namespace qopt::lint {
 
 using Finding = qopt::analysis::Finding;
+
+/// Tag of this tool's suppression comments and summary lines.
+inline constexpr const char* kTool = "qopt-lint";
 
 /// Lints an in-memory source buffer; `path` is used for reporting and for
 /// the wall-clock allowlist (src/util/rng is exempt). `header_source` is an
@@ -56,17 +58,5 @@ std::vector<Finding> lint_source(const std::string& path,
 /// For a .cpp/.cc file, the sibling .hpp/.h with the same stem (if any) is
 /// loaded as the companion header.
 std::vector<Finding> lint_file(const std::string& path);
-
-/// Justified suppressions and quorum(n=N) annotations found in a file, in
-/// the unified summary shape shared with qopt_arch (tool tag "qopt-lint").
-std::vector<analysis::Suppression> file_suppressions(const std::string& path);
-
-/// Expands files and directories (recursively) into the C++ sources to lint
-/// (.cpp/.cc/.hpp/.h); explicit file arguments are taken as-is.
-std::vector<std::string> collect_sources(
-    const std::vector<std::string>& paths);
-
-/// One "file:line: [rule] message" diagnostic line.
-std::string format_finding(const Finding& finding);
 
 }  // namespace qopt::lint

@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "analysis/source.hpp"
 #include "analysis/suppress.hpp"
 #include "qopt_lint/lint.hpp"
 
@@ -50,17 +51,18 @@ int main(int argc, char** argv) {
   }
 
   std::size_t total = 0;
-  const std::vector<std::string> files = qopt::lint::collect_sources(paths);
+  const std::vector<std::string> files =
+      qopt::analysis::collect_sources(paths);
   for (const std::string& file : files) {
     for (const qopt::lint::Finding& finding : qopt::lint::lint_file(file)) {
-      std::printf("%s\n", qopt::lint::format_finding(finding).c_str());
+      std::printf("%s\n", qopt::analysis::format_finding(finding).c_str());
       ++total;
     }
   }
   if (show_suppressions) {
     for (const std::string& file : files) {
       for (const qopt::analysis::Suppression& s :
-           qopt::lint::file_suppressions(file)) {
+           qopt::analysis::file_suppressions(qopt::lint::kTool, file)) {
         std::printf("%s\n", qopt::analysis::format_suppression(s).c_str());
       }
     }

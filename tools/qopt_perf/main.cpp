@@ -19,11 +19,11 @@
 // Exit status: 0 when clean/within baseline, 1 on findings or ratchet
 // regression, 2 on usage error.
 #include <cstdio>
-#include <fstream>
 #include <map>
 #include <string>
 #include <vector>
 
+#include "analysis/source.hpp"
 #include "analysis/suppress.hpp"
 #include "qopt_perf/perf.hpp"
 
@@ -33,12 +33,6 @@ constexpr const char* kUsage =
     "usage: qopt_perf --manifest <file> [--root <dir>]\n"
     "                 [--baseline <file>] [--update-baseline]\n"
     "                 [--suppressions] [--list-rules] <dir-or-file>...\n";
-
-bool write_text(const std::string& path, const std::string& text) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out << text;
-  return static_cast<bool>(out);
-}
 
 /// `path` relative to `root` (both as given on the command line); returns
 /// `path` unchanged when it does not live under `root`.
@@ -122,7 +116,7 @@ int main(int argc, char** argv) {
                     file_findings.end());
     if (show_suppressions) {
       for (qopt::analysis::Suppression s :
-           qopt::perf::file_suppressions(file)) {
+           qopt::analysis::file_suppressions(qopt::perf::kTool, file)) {
         s.file = rel;
         suppressions.push_back(std::move(s));
       }
@@ -152,7 +146,8 @@ int main(int argc, char** argv) {
       }
       if (raised) return 1;
     }
-    if (!write_text(baseline_path, qopt::perf::format_baseline(counts))) {
+    if (!qopt::analysis::write_file(baseline_path,
+                                    qopt::perf::format_baseline(counts))) {
       std::fprintf(stderr, "qopt-perf: cannot write %s\n",
                    baseline_path.c_str());
       return 2;
@@ -174,7 +169,7 @@ int main(int argc, char** argv) {
 
   if (baseline_path.empty()) {
     for (const qopt::perf::Finding& finding : findings) {
-      std::printf("%s\n", qopt::perf::format_finding(finding).c_str());
+      std::printf("%s\n", qopt::analysis::format_finding(finding).c_str());
     }
     if (!findings.empty()) {
       std::fprintf(stderr,
@@ -188,7 +183,7 @@ int main(int argc, char** argv) {
   const qopt::perf::Baseline baseline =
       qopt::perf::load_baseline(baseline_path);
   for (const qopt::perf::Finding& e : baseline.errors) {
-    std::printf("%s\n", qopt::perf::format_finding(e).c_str());
+    std::printf("%s\n", qopt::analysis::format_finding(e).c_str());
   }
   const std::vector<std::string> failures =
       qopt::perf::ratchet_failures(counts, baseline);
@@ -206,7 +201,7 @@ int main(int argc, char** argv) {
     }
     for (const qopt::perf::Finding& finding : findings) {
       if (regressed.count(finding.rule) > 0) {
-        std::printf("%s\n", qopt::perf::format_finding(finding).c_str());
+        std::printf("%s\n", qopt::analysis::format_finding(finding).c_str());
       }
     }
     for (const std::string& failure : failures) {

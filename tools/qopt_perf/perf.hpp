@@ -44,11 +44,13 @@
 #include <vector>
 
 #include "analysis/source.hpp"
-#include "analysis/suppress.hpp"
 
 namespace qopt::perf {
 
 using Finding = qopt::analysis::Finding;
+
+/// Tag of this tool's suppression comments and summary lines.
+inline constexpr const char* kTool = "qopt-perf";
 
 // ------------------------------------------------------------- manifest
 
@@ -71,9 +73,10 @@ struct Manifest {
   std::vector<Finding> errors;  // rule "manifest"
 };
 
-/// Parses the TOML subset used by docs/HOT_PATHS.toml: `[regions.<name>]`
-/// sections with `path = "..."` and `functions = ["...", ...]`, plus a
-/// `[messages]` section with `types = [...]`. Errors land in `errors`.
+/// Reads docs/HOT_PATHS.toml (grammar: analysis/manifest.hpp):
+/// `[regions.<name>]` tables with `path = "..."` and `functions = [...]`,
+/// plus a `[messages]` table with `types = [...]`. Errors land in
+/// `errors`.
 Manifest parse_manifest(const std::string& path, const std::string& text);
 
 /// Reads and parses a manifest file; a read failure is a `manifest` error.
@@ -112,9 +115,6 @@ std::vector<Finding> analyze_file(const std::string& root,
                                   const Manifest& manifest,
                                   const Options& options = {});
 
-/// Justified suppressions found in a file (tool tag "qopt-perf").
-std::vector<analysis::Suppression> file_suppressions(const std::string& path);
-
 // -------------------------------------------------------------- ratchet
 
 struct Baseline {
@@ -146,8 +146,5 @@ std::vector<std::string> ratchet_failures(
 /// `--update-baseline`.
 std::vector<std::string> ratchet_improvements(
     const std::map<std::string, int>& counts, const Baseline& baseline);
-
-/// One "file:line: [rule] message" diagnostic line.
-std::string format_finding(const Finding& finding);
 
 }  // namespace qopt::perf

@@ -1,7 +1,6 @@
 #include <algorithm>
 #include <cctype>
 #include <cstddef>
-#include <filesystem>
 #include <set>
 #include <string>
 #include <vector>
@@ -14,144 +13,21 @@ namespace qopt::perf {
 
 namespace {
 
-constexpr const char* kTool = "qopt-perf";
-
 using analysis::allowed;
 using analysis::Annotations;
+using analysis::body_open_after;
+using analysis::for_each_token;
+using analysis::ident_ending_at;
 using analysis::is_ident_char;
 using analysis::line_of_offset;
 using analysis::match_angle_brackets;
+using analysis::match_braces;
+using analysis::match_parens;
+using analysis::prev_nonspace;
 using analysis::read_identifier;
+using analysis::skip_ws;
 using analysis::split_lines;
 using analysis::strip_comments_and_literals;
-
-// ------------------------------------------------------- token utilities
-
-/// True when [pos, pos+len) is a whole identifier token (word-bounded).
-bool token_at(const std::string& text, std::size_t pos, std::size_t len) {
-  if (pos > 0 && is_ident_char(text[pos - 1])) return false;
-  if (pos + len < text.size() && is_ident_char(text[pos + len])) return false;
-  return true;
-}
-
-std::size_t skip_ws(const std::string& text, std::size_t pos) {
-  while (pos < text.size() &&
-         std::isspace(static_cast<unsigned char>(text[pos]))) {
-    ++pos;
-  }
-  return pos;
-}
-
-/// Index of the last non-whitespace char strictly before `pos`, or npos.
-std::size_t prev_nonspace(const std::string& text, std::size_t pos) {
-  while (pos > 0) {
-    --pos;
-    if (!std::isspace(static_cast<unsigned char>(text[pos]))) return pos;
-  }
-  return std::string::npos;
-}
-
-/// Reads the identifier ending at (and including) `end`; `start` receives
-/// its first index. Empty when text[end] is not an identifier char.
-std::string ident_ending_at(const std::string& text, std::size_t end,
-                            std::size_t& start) {
-  if (end == std::string::npos || !is_ident_char(text[end])) {
-    start = end;
-    return {};
-  }
-  start = end;
-  while (start > 0 && is_ident_char(text[start - 1])) --start;
-  return text.substr(start, end - start + 1);
-}
-
-/// Offset one past the ')' matching the '(' at `open`, or npos.
-std::size_t match_parens(const std::string& text, std::size_t open) {
-  int depth = 0;
-  for (std::size_t i = open; i < text.size(); ++i) {
-    if (text[i] == '(') {
-      ++depth;
-    } else if (text[i] == ')') {
-      if (--depth == 0) return i + 1;
-    }
-  }
-  return std::string::npos;
-}
-
-/// Offset of the '}' matching the '{' at `open`, or npos.
-std::size_t match_braces(const std::string& text, std::size_t open) {
-  int depth = 0;
-  for (std::size_t i = open; i < text.size(); ++i) {
-    if (text[i] == '{') {
-      ++depth;
-    } else if (text[i] == '}') {
-      if (--depth == 0) return i;
-    }
-  }
-  return std::string::npos;
-}
-
-/// Given the offset one past a parameter list's ')', skips trailing
-/// qualifiers (const/noexcept[(...)]/override/final/mutable, `-> Type`, a
-/// constructor init list) and returns the offset of the function body's
-/// '{', or npos when the signature is a declaration (`;`) or the text is
-/// not a function definition after all.
-std::size_t body_open_after(const std::string& text, std::size_t pos) {
-  for (;;) {
-    pos = skip_ws(text, pos);
-    if (pos >= text.size()) return std::string::npos;
-    const char c = text[pos];
-    if (c == '{') return pos;
-    if (c == ';') return std::string::npos;
-    if (c == '(') {  // noexcept(...)
-      pos = match_parens(text, pos);
-      if (pos == std::string::npos) return std::string::npos;
-      continue;
-    }
-    if (c == ':') {
-      // Constructor init list: the body '{' is the first brace at paren
-      // depth 0 whose predecessor is ')' or '}' (an initializer closer);
-      // a brace preceded by an identifier is a member brace-init.
-      int depth = 0;
-      for (std::size_t i = pos + 1; i < text.size(); ++i) {
-        if (text[i] == '(') {
-          ++depth;
-        } else if (text[i] == ')') {
-          --depth;
-        } else if (text[i] == ';') {
-          return std::string::npos;
-        } else if (text[i] == '{' && depth == 0) {
-          const std::size_t p = prev_nonspace(text, i);
-          if (p != std::string::npos &&
-              (text[p] == ')' || text[p] == '}')) {
-            return i;
-          }
-          const std::size_t close = match_braces(text, i);
-          if (close == std::string::npos) return std::string::npos;
-          i = close;
-        }
-      }
-      return std::string::npos;
-    }
-    if (c == '-' && pos + 1 < text.size() && text[pos + 1] == '>') {
-      pos += 2;  // trailing return type: its tokens are skipped below
-      continue;
-    }
-    if (c == '<') {
-      pos = match_angle_brackets(text, pos);
-      if (pos == std::string::npos) return std::string::npos;
-      continue;
-    }
-    if (c == '&' || c == '*') {
-      ++pos;
-      continue;
-    }
-    if (is_ident_char(c)) {
-      while (pos < text.size() && is_ident_char(text[pos])) ++pos;
-      continue;
-    }
-    return std::string::npos;
-  }
-}
 
 struct BodyRange {
   std::size_t open = 0;   // offset of '{'
@@ -266,17 +142,6 @@ struct Context {
     findings.push_back({path, lineno, rule, message});
   }
 };
-
-/// Calls `fn(offset)` for every word-bounded occurrence of `token`.
-template <typename Fn>
-void for_each_token(const std::string& text, const std::string& token,
-                    Fn&& fn) {
-  std::size_t pos = 0;
-  while ((pos = text.find(token, pos)) != std::string::npos) {
-    if (token_at(text, pos, token.size())) fn(pos);
-    pos += token.size();
-  }
-}
 
 void check_heap_alloc(const Context& ctx) {
   const std::string& text = ctx.stripped;
@@ -520,22 +385,6 @@ void check_throw(const Context& ctx) {
   });
 }
 
-std::string companion_header_source(const std::string& path) {
-  namespace fs = std::filesystem;
-  const fs::path p(path);
-  const std::string ext = p.extension().string();
-  if (ext != ".cpp" && ext != ".cc") return {};
-  for (const char* header_ext : {".hpp", ".h"}) {
-    fs::path header = p;
-    header.replace_extension(header_ext);
-    std::string header_source;
-    if (analysis::read_file(header.string(), header_source)) {
-      return header_source;
-    }
-  }
-  return {};
-}
-
 }  // namespace
 
 const std::vector<std::string>& rule_names() {
@@ -625,19 +474,9 @@ std::vector<Finding> analyze_file(const std::string& root,
   if (!analysis::read_file(full, source)) {
     return {{rel_path, 0, "io", "cannot read file"}};
   }
-  return analyze_source(rel_path, source, companion_header_source(full),
+  return analyze_source(rel_path, source,
+                        analysis::companion_header_source(full),
                         manifest, options);
-}
-
-std::vector<analysis::Suppression> file_suppressions(const std::string& path) {
-  std::string source;
-  if (!analysis::read_file(path, source)) return {};
-  return analysis::scan_annotations(kTool, path, split_lines(source))
-      .suppressions;
-}
-
-std::string format_finding(const Finding& finding) {
-  return analysis::format_finding(finding);
 }
 
 }  // namespace qopt::perf

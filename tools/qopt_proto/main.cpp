@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "analysis/source.hpp"
 #include "analysis/suppress.hpp"
 #include "qopt_proto/proto.hpp"
 
@@ -98,7 +99,7 @@ int main(int argc, char** argv) {
       qopt::proto::load_manifest(manifest_path);
   if (!manifest.errors.empty()) {
     for (const qopt::proto::Finding& e : manifest.errors) {
-      std::fprintf(stderr, "%s\n", qopt::proto::format_finding(e).c_str());
+      std::fprintf(stderr, "%s\n", qopt::analysis::format_finding(e).c_str());
     }
     std::fprintf(stderr, "qopt-proto: manifest %s is malformed\n",
                  manifest_path.c_str());
@@ -142,7 +143,7 @@ int main(int argc, char** argv) {
       const std::string full =
           root.empty() || root == "." ? rel : root + "/" + rel;
       for (qopt::analysis::Suppression s :
-           qopt::proto::file_suppressions(full)) {
+           qopt::analysis::file_suppressions(qopt::proto::kTool, full)) {
         s.file = rel;
         std::printf("%s\n", qopt::analysis::format_suppression(s).c_str());
       }
@@ -150,7 +151,7 @@ int main(int argc, char** argv) {
   }
 
   for (const qopt::proto::Finding& finding : findings) {
-    std::printf("%s\n", qopt::proto::format_finding(finding).c_str());
+    std::printf("%s\n", qopt::analysis::format_finding(finding).c_str());
   }
   if (!findings.empty()) {
     std::fprintf(stderr, "qopt-proto: %zu finding(s)\n", findings.size());

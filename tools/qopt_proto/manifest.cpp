@@ -1,248 +1,51 @@
-#include <cctype>
 #include <set>
 #include <string>
-#include <vector>
 
-#include "analysis/source.hpp"
+#include "analysis/manifest.hpp"
 #include "qopt_proto/proto.hpp"
 
 namespace qopt::proto {
 
-namespace {
-
-std::string trimmed(const std::string& s) {
-  std::size_t b = 0, e = s.size();
-  while (b < e && std::isspace(static_cast<unsigned char>(s[b]))) ++b;
-  while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1]))) --e;
-  return s.substr(b, e - b);
-}
-
-std::string without_comment(const std::string& line) {
-  // `#` starts a comment anywhere outside a quoted string.
-  bool in_string = false;
-  for (std::size_t i = 0; i < line.size(); ++i) {
-    if (line[i] == '"') in_string = !in_string;
-    if (line[i] == '#' && !in_string) return line.substr(0, i);
-  }
-  return line;
-}
-
-/// Extracts the double-quoted strings from an array body fragment,
-/// reporting anything that is not a string, comma, or whitespace.
-void parse_array_items(const std::string& path, std::size_t lineno,
-                       const std::string& fragment,
-                       std::vector<std::string>& out,
-                       std::vector<Finding>& errors) {
-  std::size_t i = 0;
-  while (i < fragment.size()) {
-    const char c = fragment[i];
-    if (std::isspace(static_cast<unsigned char>(c)) || c == ',') {
-      ++i;
-      continue;
-    }
-    if (c == '"') {
-      const std::size_t close = fragment.find('"', i + 1);
-      if (close == std::string::npos) {
-        errors.push_back(
-            {path, lineno, "manifest", "unterminated string in array"});
-        return;
-      }
-      out.push_back(fragment.substr(i + 1, close - i - 1));
-      i = close + 1;
-      continue;
-    }
-    errors.push_back({path, lineno, "manifest",
-                      "expected a double-quoted string in array, got `" +
-                          fragment.substr(i, 1) + "`"});
-    return;
-  }
-}
-
-}  // namespace
-
 Manifest parse_manifest(const std::string& path, const std::string& text) {
+  analysis::ManifestDoc doc = analysis::read_manifest(path, text);
   Manifest m;
   m.path = path;
-  const std::vector<std::string> lines = analysis::split_lines(text);
-
-  enum class Section { kNone, kWire, kComponent, kMessage };
-  Section section = Section::kNone;
-  ComponentSpec* component = nullptr;
-  MessageSpec* message = nullptr;
-
-  // Array state: key being filled, accumulated items, open until `]`.
-  bool in_array = false;
-  std::string array_key;
-  std::size_t array_line = 0;
-  std::vector<std::string> array_items;
-
-  auto finish_array = [&]() {
-    if (section == Section::kWire && array_key == "alternatives") {
-      m.wire.alternatives = array_items;
-    } else if (section == Section::kMessage && array_key == "fields") {
-      message->fields = array_items;
+  m.errors = std::move(doc.errors);
+  for (const analysis::ManifestTable& table : doc.tables) {
+    if (table.name == "wire") {
+      analysis::read_table(path, table,
+                           {{"header", &m.wire.header},
+                            {"variant", &m.wire.variant},
+                            {"alternatives", &m.wire.alternatives}},
+                           m.errors);
+    } else if (table.name.starts_with("components.")) {
+      ComponentSpec& c = m.components.emplace_back();
+      c.name = table.name.substr(11);
+      c.line = table.line;
+      analysis::read_table(path, table,
+                           {{"path", &c.path}, {"dispatch", &c.dispatch}},
+                           m.errors);
+    } else if (table.name.starts_with("messages.")) {
+      MessageSpec& msg = m.messages.emplace_back();
+      msg.name = table.name.substr(9);
+      msg.line = table.line;
+      analysis::read_table(path, table,
+                           {{"from", &msg.from},
+                            {"to", &msg.to},
+                            {"handler", &msg.handler},
+                            {"fields", &msg.fields},
+                            {"versioned", &msg.versioned},
+                            {"at_least_once", &msg.at_least_once},
+                            {"span", &msg.span},
+                            {"epoch", &msg.epoch},
+                            {"dedup", &msg.dedup}},
+                           m.errors);
     } else {
-      m.errors.push_back({path, array_line, "manifest",
-                          "unknown key `" + array_key + "` in this section"});
+      analysis::reject_table(path, table,
+                             "[wire], [components.<name>], or "
+                             "[messages.<Name>]",
+                             m.errors);
     }
-    in_array = false;
-    array_key.clear();
-    array_items.clear();
-  };
-
-  for (std::size_t i = 0; i < lines.size(); ++i) {
-    const std::size_t lineno = i + 1;
-    const std::string line = trimmed(without_comment(lines[i]));
-    if (line.empty()) continue;
-
-    if (in_array) {
-      const std::size_t close = line.find(']');
-      parse_array_items(path, lineno, line.substr(0, close), array_items,
-                        m.errors);
-      if (close != std::string::npos) finish_array();
-      continue;
-    }
-
-    if (line.front() == '[') {
-      component = nullptr;
-      message = nullptr;
-      if (line == "[wire]") {
-        section = Section::kWire;
-      } else if (line.starts_with("[components.") && line.back() == ']') {
-        const std::string name = line.substr(12, line.size() - 13);
-        if (name.empty()) {
-          m.errors.push_back(
-              {path, lineno, "manifest", "empty component name in section"});
-          section = Section::kNone;
-        } else {
-          section = Section::kComponent;
-          m.components.push_back({name, {}, {}, lineno});
-          component = &m.components.back();
-        }
-      } else if (line.starts_with("[messages.") && line.back() == ']') {
-        const std::string name = line.substr(10, line.size() - 11);
-        if (name.empty()) {
-          m.errors.push_back(
-              {path, lineno, "manifest", "empty message name in section"});
-          section = Section::kNone;
-        } else {
-          section = Section::kMessage;
-          MessageSpec spec;
-          spec.name = name;
-          spec.line = lineno;
-          m.messages.push_back(spec);
-          message = &m.messages.back();
-        }
-      } else {
-        m.errors.push_back({path, lineno, "manifest",
-                            "unknown section `" + line +
-                                "` (expected [wire], [components.<name>], "
-                                "or [messages.<Name>])"});
-        section = Section::kNone;
-      }
-      continue;
-    }
-
-    const std::size_t eq = line.find('=');
-    if (eq == std::string::npos) {
-      m.errors.push_back({path, lineno, "manifest",
-                          "expected `key = ...`: `" + line + "`"});
-      continue;
-    }
-    const std::string key = trimmed(line.substr(0, eq));
-    const std::string value = trimmed(line.substr(eq + 1));
-
-    // Scalar string value: `handler = "handle_read"`.
-    if (!value.empty() && value.front() == '"') {
-      const std::size_t close = value.find('"', 1);
-      if (close == std::string::npos) {
-        m.errors.push_back(
-            {path, lineno, "manifest", "unterminated string for `" + key +
-                                           "`"});
-        continue;
-      }
-      const std::string s = value.substr(1, close - 1);
-      bool known = true;
-      if (section == Section::kWire) {
-        if (key == "header") {
-          m.wire.header = s;
-        } else if (key == "variant") {
-          m.wire.variant = s;
-        } else {
-          known = false;
-        }
-      } else if (section == Section::kComponent) {
-        if (key == "path") {
-          component->path = s;
-        } else if (key == "dispatch") {
-          component->dispatch = s;
-        } else {
-          known = false;
-        }
-      } else if (section == Section::kMessage) {
-        if (key == "from") {
-          message->from = s;
-        } else if (key == "to") {
-          message->to = s;
-        } else if (key == "handler") {
-          message->handler = s;
-        } else if (key == "epoch") {
-          message->epoch = s;
-        } else if (key == "dedup") {
-          message->dedup = s;
-        } else {
-          known = false;
-        }
-      } else {
-        known = false;
-      }
-      if (!known) {
-        m.errors.push_back({path, lineno, "manifest",
-                            "unknown key `" + key + "` in this section"});
-      }
-      continue;
-    }
-
-    // Boolean value: `versioned = true`.
-    if (value == "true" || value == "false") {
-      const bool b = value == "true";
-      bool known = section == Section::kMessage;
-      if (known) {
-        if (key == "versioned") {
-          message->versioned = b;
-        } else if (key == "at_least_once") {
-          message->at_least_once = b;
-        } else if (key == "span") {
-          message->span = b;
-        } else {
-          known = false;
-        }
-      }
-      if (!known) {
-        m.errors.push_back({path, lineno, "manifest",
-                            "unknown key `" + key + "` in this section"});
-      }
-      continue;
-    }
-
-    if (value.empty() || value.front() != '[') {
-      m.errors.push_back({path, lineno, "manifest",
-                          "value of `" + key +
-                              "` must be a string, boolean, or array"});
-      continue;
-    }
-    in_array = true;
-    array_key = key;
-    array_line = lineno;
-    const std::string body = value.substr(1);
-    const std::size_t close = body.find(']');
-    parse_array_items(path, lineno, body.substr(0, close), array_items,
-                      m.errors);
-    if (close != std::string::npos) finish_array();
-  }
-  if (in_array) {
-    m.errors.push_back({path, array_line, "manifest",
-                        "unterminated array for `" + array_key + "`"});
   }
 
   // ------------------------------------------------- cross-key validation
@@ -296,14 +99,7 @@ Manifest parse_manifest(const std::string& path, const std::string& text) {
 }
 
 Manifest load_manifest(const std::string& path) {
-  std::string text;
-  if (!analysis::read_file(path, text)) {
-    Manifest m;
-    m.path = path;
-    m.errors.push_back({path, 0, "manifest", "cannot read manifest"});
-    return m;
-  }
-  return parse_manifest(path, text);
+  return analysis::load_manifest(path, parse_manifest);
 }
 
 }  // namespace qopt::proto

@@ -49,11 +49,13 @@
 #include <vector>
 
 #include "analysis/source.hpp"
-#include "analysis/suppress.hpp"
 
 namespace qopt::proto {
 
 using Finding = qopt::analysis::Finding;
+
+/// Tag of this tool's suppression comments and summary lines.
+inline constexpr const char* kTool = "qopt-proto";
 
 // ------------------------------------------------------------- manifest
 
@@ -95,8 +97,8 @@ struct Manifest {
   std::vector<Finding> errors;  // rule "manifest"
 };
 
-/// Parses the TOML subset used by docs/PROTOCOL.toml: `[wire]`,
-/// `[components.<name>]`, and `[messages.<name>]` sections with string,
+/// Reads docs/PROTOCOL.toml (grammar: analysis/manifest.hpp): `[wire]`,
+/// `[components.<name>]`, and `[messages.<name>]` tables with string,
 /// boolean, and string-array values. Errors land in `errors`.
 Manifest parse_manifest(const std::string& path, const std::string& text);
 
@@ -151,11 +153,5 @@ std::string dump_wire(const WireHeader& header, const std::string& variant);
 
 /// The same normalized inventory generated from the committed manifest.
 std::string dump_manifest(const Manifest& manifest);
-
-/// Justified suppressions found in a file (tool tag "qopt-proto").
-std::vector<analysis::Suppression> file_suppressions(const std::string& path);
-
-/// One "file:line: [rule] message" diagnostic line.
-std::string format_finding(const Finding& finding);
 
 }  // namespace qopt::proto

@@ -1,5 +1,4 @@
 #include <algorithm>
-#include <cctype>
 #include <cstddef>
 #include <map>
 #include <string>
@@ -13,152 +12,20 @@ namespace qopt::proto {
 
 namespace {
 
-constexpr const char* kTool = "qopt-proto";
-
 using analysis::allowed;
 using analysis::Annotations;
+using analysis::body_open_after;
+using analysis::for_each_token;
+using analysis::ident_ending_at;
 using analysis::is_ident_char;
 using analysis::line_of_offset;
 using analysis::match_angle_brackets;
+using analysis::match_braces;
+using analysis::match_parens;
+using analysis::prev_nonspace;
+using analysis::skip_ws;
 using analysis::split_lines;
 using analysis::strip_comments_and_literals;
-
-// ------------------------------------------------------- token utilities
-
-/// True when [pos, pos+len) is a whole identifier token (word-bounded).
-bool token_at(const std::string& text, std::size_t pos, std::size_t len) {
-  if (pos > 0 && is_ident_char(text[pos - 1])) return false;
-  if (pos + len < text.size() && is_ident_char(text[pos + len])) return false;
-  return true;
-}
-
-std::size_t skip_ws(const std::string& text, std::size_t pos) {
-  while (pos < text.size() &&
-         std::isspace(static_cast<unsigned char>(text[pos]))) {
-    ++pos;
-  }
-  return pos;
-}
-
-/// Index of the last non-whitespace char strictly before `pos`, or npos.
-std::size_t prev_nonspace(const std::string& text, std::size_t pos) {
-  while (pos > 0) {
-    --pos;
-    if (!std::isspace(static_cast<unsigned char>(text[pos]))) return pos;
-  }
-  return std::string::npos;
-}
-
-/// Reads the identifier ending at (and including) `end`; `start` receives
-/// its first index. Empty when text[end] is not an identifier char.
-std::string ident_ending_at(const std::string& text, std::size_t end,
-                            std::size_t& start) {
-  if (end == std::string::npos || !is_ident_char(text[end])) {
-    start = end;
-    return {};
-  }
-  start = end;
-  while (start > 0 && is_ident_char(text[start - 1])) --start;
-  return text.substr(start, end - start + 1);
-}
-
-/// Offset one past the ')' matching the '(' at `open`, or npos.
-std::size_t match_parens(const std::string& text, std::size_t open) {
-  int depth = 0;
-  for (std::size_t i = open; i < text.size(); ++i) {
-    if (text[i] == '(') {
-      ++depth;
-    } else if (text[i] == ')') {
-      if (--depth == 0) return i + 1;
-    }
-  }
-  return std::string::npos;
-}
-
-/// Offset of the '}' matching the '{' at `open`, or npos.
-std::size_t match_braces(const std::string& text, std::size_t open) {
-  int depth = 0;
-  for (std::size_t i = open; i < text.size(); ++i) {
-    if (text[i] == '{') {
-      ++depth;
-    } else if (text[i] == '}') {
-      if (--depth == 0) return i;
-    }
-  }
-  return std::string::npos;
-}
-
-/// Given the offset one past a parameter list's ')', skips trailing
-/// qualifiers (const/noexcept[(...)]/override/final, `-> Type`, a
-/// constructor init list) and returns the offset of the function body's
-/// '{', or npos when the signature is a declaration (`;`).
-std::size_t body_open_after(const std::string& text, std::size_t pos) {
-  for (;;) {
-    pos = skip_ws(text, pos);
-    if (pos >= text.size()) return std::string::npos;
-    const char c = text[pos];
-    if (c == '{') return pos;
-    if (c == ';') return std::string::npos;
-    if (c == '(') {  // noexcept(...)
-      pos = match_parens(text, pos);
-      if (pos == std::string::npos) return std::string::npos;
-      continue;
-    }
-    if (c == ':') {
-      // Constructor init list: the body '{' is the first brace at paren
-      // depth 0 whose predecessor is ')' or '}' (an initializer closer).
-      int depth = 0;
-      for (std::size_t i = pos + 1; i < text.size(); ++i) {
-        if (text[i] == '(') {
-          ++depth;
-        } else if (text[i] == ')') {
-          --depth;
-        } else if (text[i] == ';') {
-          return std::string::npos;
-        } else if (text[i] == '{' && depth == 0) {
-          const std::size_t p = prev_nonspace(text, i);
-          if (p != std::string::npos &&
-              (text[p] == ')' || text[p] == '}')) {
-            return i;
-          }
-          const std::size_t close = match_braces(text, i);
-          if (close == std::string::npos) return std::string::npos;
-          i = close;
-        }
-      }
-      return std::string::npos;
-    }
-    if (c == '-' && pos + 1 < text.size() && text[pos + 1] == '>') {
-      pos += 2;  // trailing return type
-      continue;
-    }
-    if (c == '<') {
-      pos = match_angle_brackets(text, pos);
-      if (pos == std::string::npos) return std::string::npos;
-      continue;
-    }
-    if (c == '&' || c == '*') {
-      ++pos;
-      continue;
-    }
-    if (is_ident_char(c)) {
-      while (pos < text.size() && is_ident_char(text[pos])) ++pos;
-      continue;
-    }
-    return std::string::npos;
-  }
-}
-
-/// Calls `fn(offset)` for every word-bounded occurrence of `token`.
-template <typename Fn>
-void for_each_token(const std::string& text, const std::string& token,
-                    Fn&& fn) {
-  std::size_t pos = 0;
-  while ((pos = text.find(token, pos)) != std::string::npos) {
-    if (token_at(text, pos, token.size())) fn(pos);
-    pos += token.size();
-  }
-}
 
 bool contains_token(const std::string& text, const std::string& token) {
   bool found = false;
@@ -793,17 +660,6 @@ std::string dump_manifest(const Manifest& manifest) {
   for (const std::string& a : manifest.wire.alternatives) out += " " + a;
   out += "\n";
   return out;
-}
-
-std::vector<analysis::Suppression> file_suppressions(const std::string& path) {
-  std::string source;
-  if (!analysis::read_file(path, source)) return {};
-  return analysis::scan_annotations(kTool, path, split_lines(source))
-      .suppressions;
-}
-
-std::string format_finding(const Finding& finding) {
-  return analysis::format_finding(finding);
 }
 
 }  // namespace qopt::proto
