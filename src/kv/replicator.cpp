@@ -11,67 +11,88 @@
 #include "util/time.hpp"
 
 #include <algorithm>
+#include <array>
+#include <cassert>
 #include <stdexcept>
+#include <utility>
 
 namespace qopt::kv {
+
+namespace {
+
+/// Strict (ts, cfno) order: `a` is older than `b`.
+bool older(const Version& a, const Version& b) {
+  return a.ts < b.ts || (a.ts == b.ts && a.cfno < b.cfno);
+}
+
+}  // namespace
 
 Replicator::Replicator(sim::Simulator& sim, const Placement& placement,
                        std::vector<StorageNode*> nodes,
                        const ReplicatorOptions& options,
                        obs::Observability* obs)
     : sim_(sim), placement_(placement), nodes_(std::move(nodes)),
-      options_(options), obs_(obs) {
+      options_(options), obs_(obs), catalog_counts_(nodes_.size(), 0) {
   if (nodes_.empty()) throw std::invalid_argument("Replicator: no nodes");
 }
 
 void Replicator::start() {
   if (running_) return;
   running_ = true;
-  sim_.after(options_.interval, [this] { sweep(); });
+  tick_ = sim_.after(options_.interval, [this] { sweep(); });
+}
+
+void Replicator::stop() noexcept {
+  running_ = false;
+  sim_.cancel(tick_);
+}
+
+void Replicator::refresh_catalog() {
+  // Stores only grow (StorageNode never erases), so equal counts mean equal
+  // key sets and the catalog is still exact.
+  bool changed = false;
+  std::size_t total = 0;
+  for (std::size_t n = 0; n < nodes_.size(); ++n) {
+    const std::size_t count = nodes_[n]->object_count();
+    assert(count >= catalog_counts_[n] && "a node's store shrank");
+    changed = changed || count != catalog_counts_[n];
+    catalog_counts_[n] = count;
+    total += count;
+  }
+  if (!changed) return;
+
+  // Crashed nodes too: their stores survive, and the sweep filters by
+  // liveness at pass time.
+  catalog_.clear();
+  catalog_.reserve(total);
+  ObjectId key_bits = 0;  // OR of every oid: its top byte bounds the passes
+  for (std::size_t n = 0; n < nodes_.size(); ++n) {
+    const auto node = static_cast<std::uint32_t>(n);
+    nodes_[n]->for_each_version([&](ObjectId oid, const Version&) {
+      catalog_.push_back({oid, node});
+      key_bits |= oid;
+    });
+  }
+  // Stable LSD radix sort on the oid's bytes. Holdings were appended in
+  // node order, and every pass is stable, so ties stay in node order.
+  radix_scratch_.resize(catalog_.size());
+  for (unsigned shift = 0; shift < 64 && (key_bits >> shift) != 0;
+       shift += 8) {
+    std::array<std::size_t, 256> next{};
+    for (const Holding& h : catalog_) ++next[(h.oid >> shift) & 0xff];
+    std::size_t offset = 0;
+    for (std::size_t& slot : next) offset += std::exchange(slot, offset);
+    for (const Holding& h : catalog_) {
+      radix_scratch_[next[(h.oid >> shift) & 0xff]++] = h;
+    }
+    catalog_.swap(radix_scratch_);
+  }
 }
 
 void Replicator::sweep() {
   QOPT_PROFILE_SCOPE(obs_, obs::ProfSubsystem::kReplicator);
-  if (!running_) return;
   ++stats_.sweeps;
-
-  // Build the freshest-version table across all live replicas (the
-  // daemon's hash comparison pass) in the reusable scratch vector: one
-  // flat buffer sorted once beats a node-allocating map rebuilt per sweep.
-  // The repair loop below is throttled by max_repairs_per_sweep, so *which*
-  // objects get repaired this sweep depends on iteration order — the sort
-  // pins it to ascending oid, exactly the order the old ordered map gave.
-  freshest_scratch_.clear();
-  std::size_t total = 0;
-  for (const StorageNode* node : nodes_) {
-    if (!node->crashed()) total += node->object_count();
-  }
-  freshest_scratch_.reserve(total);
-  for (const StorageNode* node : nodes_) {
-    if (node->crashed()) continue;
-    node->for_each_version([this](ObjectId oid, const Version& version) {
-      freshest_scratch_.emplace_back(oid, version);
-    });
-  }
-  // Ascending oid; freshest first within an oid. The stable sort keeps
-  // node order among fully tied versions, so the node-scan order of the
-  // old per-node snapshots decides ties exactly as before. (The hash-map
-  // visit order within one node is harmless: a node holds one version per
-  // oid, and the sort key does not depend on visit order.)
-  std::stable_sort(
-      freshest_scratch_.begin(), freshest_scratch_.end(),
-      [](const auto& a, const auto& b) {
-        if (a.first != b.first) return a.first < b.first;
-        if (a.second.ts != b.second.ts) return b.second.ts < a.second.ts;
-        return b.second.cfno < a.second.cfno;
-      });
-  freshest_scratch_.erase(
-      std::unique(freshest_scratch_.begin(), freshest_scratch_.end(),
-                  [](const auto& a, const auto& b) {
-                    return a.first == b.first;
-                  }),
-      freshest_scratch_.end());
-  const auto& freshest = freshest_scratch_;
+  refresh_catalog();
 
   // One trace per sweep; each repair push is a child span covering the
   // write service time it induces on the receiving node.
@@ -82,21 +103,34 @@ void Replicator::sweep() {
            : obs::SpanContext{};
   Time sweep_end = sim_.now();
 
-  // Push the freshest version to stale or missing replicas, throttled.
+  // Walk the catalog in ascending oid (the daemon's hash comparison pass).
+  // The repair loop is throttled by max_repairs_per_sweep, so *which*
+  // objects get repaired this sweep depends on this order. Per oid, the
+  // freshest version among the live holders wins; ties go to the lowest
+  // node index. Holders outside the oid's placement count too.
   std::size_t repairs = 0;
-  std::vector<std::uint32_t> replica_scratch;  // reused across objects
-  for (const auto& [oid, version] : freshest) {
+  for (std::size_t i = 0; i < catalog_.size();) {
+    const ObjectId oid = catalog_[i].oid;
+    const Version* freshest = nullptr;
+    for (; i < catalog_.size() && catalog_[i].oid == oid; ++i) {
+      const StorageNode* holder = nodes_[catalog_[i].node];
+      if (holder->crashed()) continue;
+      const Version* held = holder->peek(oid);
+      assert(held != nullptr);
+      if (!freshest || older(*freshest, *held)) freshest = held;
+    }
+    if (!freshest) continue;  // no live holder: nothing to compare
     ++stats_.objects_checked;
     if (repairs >= options_.max_repairs_per_sweep) break;
-    placement_.replicas_into(oid, replica_scratch);
-    for (std::uint32_t replica : replica_scratch) {
+    const Version version = *freshest;
+
+    // Push the freshest version to stale or missing replicas.
+    placement_.replicas_into(oid, replica_scratch_);
+    for (std::uint32_t replica : replica_scratch_) {
       StorageNode* node = nodes_[replica];
       if (node->crashed()) continue;
       const Version* held = node->peek(oid);
-      const bool stale =
-          !held || held->ts < version.ts ||
-          (held->ts == version.ts && held->cfno < version.cfno);
-      if (stale) {
+      if (!held || older(*held, version)) {
         obs::SpanContext push;
         if (sweep_trace.valid()) {
           push = obs_->spans().open_span(
@@ -116,7 +150,7 @@ void Replicator::sweep() {
 
   if (sweep_trace.valid()) obs_->spans().end_trace(sweep_trace, sweep_end);
 
-  sim_.after(options_.interval, [this] { sweep(); });
+  tick_ = sim_.after(options_.interval, [this] { sweep(); });
 }
 
 }  // namespace qopt::kv

@@ -10,10 +10,15 @@
 // simulation's level of abstraction); every repair push costs a real write
 // service on the receiving node, so anti-entropy competes with foreground
 // traffic for disk time exactly as it does in production.
+//
+// The sweep walks a persistent catalog of every (oid, node) holding, sorted
+// by (oid, node). Stores only grow, so the catalog stays exact until some
+// node's object count changes; only then is it rebuilt (one stable radix
+// sort). A steady-state sweep is one linear pass over reused buffers.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "kv/placement.hpp"
@@ -45,13 +50,23 @@ class Replicator {
              obs::Observability* obs = nullptr);
 
   void start();
-  void stop() noexcept { running_ = false; }
+  /// Cancels the pending sweep, so a later start() runs one sweep chain.
+  void stop() noexcept;
   bool running() const noexcept { return running_; }
 
   const ReplicatorStats& stats() const noexcept { return stats_; }
 
  private:
+  /// One replica held by one node; the catalog is sorted by (oid, node).
+  struct Holding {
+    ObjectId oid;
+    std::uint32_t node;
+  };
+
   void sweep();
+  /// Rebuilds the catalog when some node's object count has changed since
+  /// the last build; otherwise leaves it as it is.
+  void refresh_catalog();
 
   sim::Simulator& sim_;
   const Placement& placement_;
@@ -59,10 +74,15 @@ class Replicator {
   ReplicatorOptions options_;
   ReplicatorStats stats_;
   bool running_ = false;
+  sim::EventHandle tick_;  // the pending sweep while running
   obs::Observability* obs_ = nullptr;  // nullable: spans off when absent
-  /// Freshest-version table scratch, reused across sweeps so steady-state
-  /// sweeps allocate nothing once the buffer has grown to the store size.
-  std::vector<std::pair<ObjectId, Version>> freshest_scratch_;
+  std::vector<Holding> catalog_;
+  /// Each node's object_count() when the catalog was last built.
+  std::vector<std::size_t> catalog_counts_;
+  // Reused across sweeps, so only a catalog rebuild that outgrows them
+  // allocates.
+  std::vector<Holding> radix_scratch_;
+  std::vector<std::uint32_t> replica_scratch_;
 };
 
 }  // namespace qopt::kv

@@ -64,7 +64,9 @@ class StorageNode {
   const obs::Observability& observability() const noexcept { return *obs_; }
   const ServicePool& service_pool() const noexcept { return pool_; }
 
-  /// Number of distinct objects stored (tests/diagnostics).
+  /// Number of distinct objects stored. Stores only grow: nothing erases
+  /// from the store and a crash keeps it, so an unchanged count means an
+  /// unchanged key set (the replicator's catalog relies on this).
   std::size_t object_count() const noexcept { return store_.size(); }
 
   /// Direct store inspection for tests; returns nullptr when absent.
@@ -91,9 +93,9 @@ class StorageNode {
   }
 
   /// Visits every stored (oid, version) pair without materializing a
-  /// snapshot (anti-entropy sweeps). Iteration order is the hash table's
-  /// slot order, so callers deriving schedules from it must sort what they
-  /// collect (the replicator stable-sorts into its scratch).
+  /// snapshot (the replicator's catalog build). Iteration order is the hash
+  /// table's slot order, so callers deriving schedules from it must sort
+  /// what they collect (the replicator radix-sorts its catalog by oid).
   template <typename Fn>
   void for_each_version(Fn&& fn) const {
     store_.for_each(fn);
@@ -119,7 +121,7 @@ class StorageNode {
   ServicePool pool_;
   Rng rng_;
   /// oid -> version, inline in one open-addressing table: a lookup is one
-  /// probe run over 56-byte slots.
+  /// probe run over 56-byte slots. Never erased from (see object_count()).
   FlatTable<Version> store_;
   FullConfig config_;  // epno/cfno/current quorum state, from NEWEP messages
   bool crashed_ = false;

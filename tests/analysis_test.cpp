@@ -272,6 +272,15 @@ TEST(AnalysisScannerTest, BodyOpenAfterSkipsQualifiersAndInitLists) {
   EXPECT_EQ(body_of("int f(int a) const noexcept(true) { x; }"), "{ x; }");
   EXPECT_EQ(body_of("auto f() -> Time { y; }"), "{ y; }");
   EXPECT_EQ(body_of("S::S(int a) : a_{a}, b_(2) { z; }"), "{ z; }");
+  // A qualified trailing return type is a name, not an init list.
+  EXPECT_EQ(body_of("auto f() -> int { w; }"), "{ w; }");
+  EXPECT_EQ(body_of("auto f() -> std::vector<int> { v; }"), "{ v; }");
+  EXPECT_EQ(body_of("auto f() const -> ::ns::T& { u; }"), "{ u; }");
+  EXPECT_EQ(body_of("auto f() -> a::b::c;"), "<none>");
+  // Init lists still resolve, including ones naming qualified types.
+  EXPECT_EQ(body_of("S::S() : base_{} { t; }"), "{ t; }");
+  EXPECT_EQ(body_of("S::S() : b_(std::vector<int>{1}), c_{ns::k} { s; }"),
+            "{ s; }");
   EXPECT_EQ(body_of("void f(int a);"), "<none>");
 }
 

@@ -3,21 +3,34 @@
 // replicator, and client proxy failover.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
+#include <cstdint>
 #include <filesystem>
+#include <map>
+#include <memory>
+#include <utility>
+#include <vector>
 
 #include "core/client.hpp"
 #include "core/cluster.hpp"
 #include "core/consistency.hpp"
 #include "core/experiment.hpp"
 #include "core/metrics.hpp"
+#include "kv/placement.hpp"
 #include "kv/replicator.hpp"
+#include "kv/service_model.hpp"
+#include "kv/storage_node.hpp"
 #include "kv/types.hpp"
 #include "kv/wire.hpp"
 #include "ml/dataset.hpp"
+#include "obs/obs.hpp"
+#include "obs/span.hpp"
 #include "sim/ids.hpp"
 #include "sim/network.hpp"
 #include "sim/simulator.hpp"
 #include "util/rng.hpp"
+#include "util/time.hpp"
 #include "workload/workload.hpp"
 
 namespace qopt {
@@ -260,6 +273,249 @@ TEST(AntiEntropyTest, ThrottleLimitsRepairsPerSweep) {
   cluster.run_for(milliseconds(1100));  // exactly one sweep
   EXPECT_LE(cluster.replicator()->stats().repairs_pushed, 23u)
       << "throttle exceeded (one object may add up to N-1 pushes)";
+}
+
+TEST(AntiEntropyTest, StopThenStartRunsOneSweepChain) {
+  sim::Simulator sim;
+  sim::Network<kv::Message> net(sim, sim::LatencyModel{microseconds(50), 0},
+                                Rng(1));
+  kv::StorageNode node(sim, net, sim::storage_id(0), kv::ServiceTimes{}, 1,
+                       Rng(2));
+  const kv::Placement placement(1, 1);
+  kv::ReplicatorOptions options;
+  options.interval = seconds(1);
+  kv::Replicator replicator(sim, placement, {&node}, options);
+  replicator.start();
+  replicator.stop();
+  replicator.start();  // before the first tick was due
+  sim.run(milliseconds(10'500));
+  EXPECT_EQ(replicator.stats().sweeps, 10u);
+  replicator.stop();
+  sim.run(seconds(30));
+  EXPECT_EQ(replicator.stats().sweeps, 10u);
+  EXPECT_TRUE(sim.empty());
+}
+
+// Differential check of the sweep against the algorithm it replaced. The
+// reference collects every live node's (oid, version) pairs, stable-sorts
+// them by ascending oid with the freshest (ts, cfno) first, keeps the first
+// entry per oid, and pushes that version to each stale or missing live
+// replica in ascending oid until the throttle is reached.
+class SweepReferenceTest : public ::testing::Test {
+ protected:
+  static constexpr std::uint32_t kNodes = 5;
+
+  struct Push {
+    kv::ObjectId oid = 0;
+    std::uint32_t replica = 0;
+    friend bool operator==(const Push&, const Push&) = default;
+  };
+  using Contents = std::map<kv::ObjectId, kv::Version>;
+  struct Expected {
+    std::vector<Push> pushes;
+    std::uint64_t objects_checked = 0;
+    std::vector<Contents> landed;  // every node's store once pushes apply
+  };
+
+  SweepReferenceTest() {
+    for (std::uint32_t n = 0; n < kNodes; ++n) {
+      nodes_.push_back(std::make_unique<kv::StorageNode>(
+          sim_, net_, sim::storage_id(n), kv::ServiceTimes{}, 2,
+          Rng(100 + n), &obs_));
+    }
+    obs_.spans().set_sampling(obs::TraceKind::kAntiEntropy, 1);
+  }
+
+  static kv::Version version(Time time, std::uint64_t cfno,
+                             std::uint64_t value) {
+    kv::Version v;
+    v.ts = {time, 0, 0};
+    v.cfno = cfno;
+    v.value = value;
+    v.size_bytes = 1024;
+    return v;
+  }
+
+  static bool older(const kv::Version& a, const kv::Version& b) {
+    return a.ts < b.ts || (a.ts == b.ts && a.cfno < b.cfno);
+  }
+
+  /// The lowest node index outside `oid`'s placement.
+  std::uint32_t stray(kv::ObjectId oid) const {
+    const std::vector<std::uint32_t> held = placement_.replicas(oid);
+    std::uint32_t n = 0;
+    while (std::find(held.begin(), held.end(), n) != held.end()) ++n;
+    return n;
+  }
+
+  void start(std::size_t max_repairs) {
+    options_.interval = seconds(1);
+    options_.max_repairs_per_sweep = max_repairs;
+    std::vector<kv::StorageNode*> raw;
+    for (const auto& n : nodes_) raw.push_back(n.get());
+    replicator_ = std::make_unique<kv::Replicator>(sim_, placement_, raw,
+                                                   options_, &obs_);
+    replicator_->start();
+  }
+
+  Expected reference() const {
+    Expected want;
+    for (const auto& n : nodes_) want.landed.push_back(n->sorted_contents());
+    const std::vector<Contents> before = want.landed;
+    std::vector<std::pair<kv::ObjectId, kv::Version>> table;
+    for (std::uint32_t n = 0; n < kNodes; ++n) {
+      if (nodes_[n]->crashed()) continue;
+      for (const auto& [oid, v] : before[n]) table.emplace_back(oid, v);
+    }
+    std::stable_sort(table.begin(), table.end(),
+                     [](const auto& a, const auto& b) {
+                       if (a.first != b.first) return a.first < b.first;
+                       return older(b.second, a.second);
+                     });
+    table.erase(std::unique(table.begin(), table.end(),
+                            [](const auto& a, const auto& b) {
+                              return a.first == b.first;
+                            }),
+                table.end());
+    std::size_t repairs = 0;
+    for (const auto& [oid, v] : table) {
+      ++want.objects_checked;
+      if (repairs >= options_.max_repairs_per_sweep) break;
+      for (std::uint32_t r : placement_.replicas(oid)) {
+        if (nodes_[r]->crashed()) continue;
+        const auto held = before[r].find(oid);
+        if (held != before[r].end() && !older(held->second, v)) continue;
+        want.pushes.push_back({oid, r});
+        ++repairs;
+        // StorageNode::replicate_in's apply rule.
+        auto [slot, inserted] = want.landed[r].try_emplace(oid, v);
+        if (inserted) continue;
+        if (v.ts > slot->second.ts) {
+          slot->second = v;
+        } else if (v.ts == slot->second.ts && v.cfno > slot->second.cfno) {
+          slot->second.cfno = v.cfno;
+        }
+      }
+    }
+    return want;
+  }
+
+  /// Runs the next sweep, lets its pushes land, and compares the pushes
+  /// (oid and replica, in order), the stats and every store against the
+  /// reference. Returns the number of pushes.
+  std::size_t sweep_matches_reference() {
+    const Expected want = reference();
+    const kv::ReplicatorStats before = replicator_->stats();
+    const std::size_t traces = obs_.spans().completed().size();
+    const Time next = (sim_.now() / seconds(1) + 1) * seconds(1);
+    sim_.run(next + milliseconds(500));
+
+    const kv::ReplicatorStats& after = replicator_->stats();
+    EXPECT_EQ(after.sweeps, before.sweeps + 1);
+    EXPECT_EQ(after.objects_checked - before.objects_checked,
+              want.objects_checked);
+    EXPECT_EQ(after.repairs_pushed - before.repairs_pushed,
+              want.pushes.size());
+    EXPECT_EQ(obs_.spans().completed().size(), traces + 1);
+    std::vector<Push> got;
+    if (!obs_.spans().completed().empty()) {
+      for (const obs::Span& span : obs_.spans().completed().back().spans) {
+        if (span.phase != obs::Phase::kRepairPush) continue;
+        got.push_back({span.a, static_cast<std::uint32_t>(span.b)});
+      }
+    }
+    EXPECT_EQ(got, want.pushes);
+    for (std::uint32_t n = 0; n < kNodes; ++n) {
+      const Contents have = nodes_[n]->sorted_contents();
+      EXPECT_EQ(have.size(), want.landed[n].size()) << "node " << n;
+      for (const auto& [oid, v] : want.landed[n]) {
+        const auto it = have.find(oid);
+        if (it == have.end()) {
+          ADD_FAILURE() << "node " << n << " lacks oid " << oid;
+          continue;
+        }
+        EXPECT_TRUE(it->second.ts == v.ts && it->second.cfno == v.cfno &&
+                    it->second.value == v.value)
+            << "node " << n << " oid " << oid << " holds value "
+            << it->second.value << ", expected " << v.value;
+      }
+    }
+    return want.pushes.size();
+  }
+
+  sim::Simulator sim_;
+  sim::Network<kv::Message> net_{sim_, sim::LatencyModel{microseconds(50), 0},
+                                 Rng(3)};
+  obs::Observability obs_;
+  const kv::Placement placement_{kNodes, 3, /*seed=*/11};
+  std::vector<std::unique_ptr<kv::StorageNode>> nodes_;
+  kv::ReplicatorOptions options_;
+  std::unique_ptr<kv::Replicator> replicator_;
+};
+
+TEST_F(SweepReferenceTest, CrashedStrayAndTiedHoldersMatchTheOldSweep) {
+  // oid 1: the freshest version sits only on a crashed replica; the live
+  // ones converge on the older version until it restarts.
+  const auto r1 = placement_.replicas(1);
+  nodes_[r1[0]]->preload(1, version(5, 0, 10));
+  nodes_[r1[1]]->preload(1, version(3, 0, 11));
+  // oid 2: held only by the crashed node, so nothing checks it.
+  nodes_[r1[0]]->preload(2, version(4, 0, 20));
+  // oid 3: the freshest version lives on a node outside the placement.
+  for (std::uint32_t r : placement_.replicas(3)) {
+    nodes_[r]->preload(3, version(2, 0, 30));
+  }
+  nodes_[stray(3)]->preload(3, version(9, 0, 31));
+  // oid 4: equal (ts, cfno) with different values; the lower node wins.
+  const auto r4 = placement_.replicas(4);
+  nodes_[r4[1]]->preload(4, version(7, 1, 40));
+  nodes_[r4[2]]->preload(4, version(7, 1, 41));
+  // oid 5: equal ts, the higher cfno wins; a cfno-stale replica takes
+  // only the cfno.
+  const auto r5 = placement_.replicas(5);
+  nodes_[r5[0]]->preload(5, version(4, 1, 50));
+  nodes_[r5[1]]->preload(5, version(4, 2, 51));
+  nodes_[r1[0]]->crash();
+  start(1000);
+  EXPECT_GT(sweep_matches_reference(), 0u);
+  nodes_[r1[0]]->restart();
+  EXPECT_GT(sweep_matches_reference(), 0u);
+  EXPECT_EQ(sweep_matches_reference(), 0u);
+}
+
+TEST_F(SweepReferenceTest, WideOidsAndNewOidsMatchTheOldSweep) {
+  const std::vector<kv::ObjectId> oids = {
+      0, 1, 255, 256, 65'535, 65'536, kv::ObjectId{1} << 40,
+      (kv::ObjectId{1} << 40) + 1, kv::ObjectId{1} << 63,
+      ~kv::ObjectId{0} - 1, ~kv::ObjectId{0}};
+  for (std::size_t i = 0; i < oids.size(); ++i) {
+    const auto r = placement_.replicas(oids[i]);
+    nodes_[r[i % r.size()]]->preload(
+        oids[i], version(static_cast<Time>(1 + i), 0, i));
+  }
+  start(1000);
+  EXPECT_GT(sweep_matches_reference(), 0u);
+  EXPECT_EQ(sweep_matches_reference(), 0u);
+  // New oids between sweeps force a catalog rebuild.
+  nodes_[0]->preload(kv::ObjectId{1} << 32, version(50, 0, 500));
+  nodes_[3]->preload(300, version(51, 0, 501));
+  nodes_[4]->preload(~kv::ObjectId{0} - 2, version(52, 0, 502));
+  EXPECT_GT(sweep_matches_reference(), 0u);
+  EXPECT_EQ(sweep_matches_reference(), 0u);
+}
+
+TEST_F(SweepReferenceTest, ThrottleCutsAnObjectMidPushLikeTheOldSweep) {
+  // Each oid sits on one replica, so it needs two pushes; a throttle of 5
+  // is reached inside the third object, which still completes.
+  for (kv::ObjectId oid = 0; oid < 12; ++oid) {
+    nodes_[placement_.replicas(oid)[oid % 3]]->preload(
+        oid, version(static_cast<Time>(10 + oid), 0, oid));
+  }
+  start(5);
+  for (int sweep = 0; sweep < 4; ++sweep) {
+    EXPECT_EQ(sweep_matches_reference(), 6u) << "sweep " << sweep;
+  }
+  EXPECT_EQ(sweep_matches_reference(), 0u);
 }
 
 // --------------------------------------------------------- client failover

@@ -311,6 +311,10 @@ std::size_t body_open_after(const std::string& text, std::size_t pos) {
       if (pos == std::string::npos) return std::string::npos;
       continue;
     }
+    if (c == ':' && pos + 1 < text.size() && text[pos + 1] == ':') {
+      pos += 2;  // scope operator of a qualified trailing return type
+      continue;
+    }
     if (c == ':') {
       // Constructor init list: the body '{' is the first brace at paren
       // depth 0 whose predecessor is ')' or '}' (an initializer closer);
